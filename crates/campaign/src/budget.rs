@@ -11,8 +11,9 @@
 //! accumulation chunk to land exactly on the limit), but the adapter is
 //! the hard stop.
 
-use crate::checkpoint::{CheckpointError, Cursor};
+use crate::checkpoint::CheckpointError;
 use fia_core::{OracleError, PredictionOracle, QueryCost, TraceContext};
+use fia_linalg::codec::{Reader, Writer};
 use fia_linalg::Matrix;
 
 /// A hard limit on what an adversary session may spend against the
@@ -129,31 +130,25 @@ impl BudgetMeter {
     /// Serializes the meter: `[version, flags, caps…, spent…]` where
     /// `flags` bit 0 marks a query cap and bit 1 a row cap.
     pub fn to_blob(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(42);
-        out.push(METER_VERSION);
-        let mut flags = 0u8;
-        if self.budget.max_queries.is_some() {
-            flags |= 1;
+        let mut w = Writer::with_capacity(42);
+        w.u8(METER_VERSION);
+        let QueryBudget {
+            max_queries,
+            max_rows,
+        } = self.budget;
+        w.u8(u8::from(max_queries.is_some()) | (u8::from(max_rows.is_some()) << 1));
+        for cap in [max_queries, max_rows].into_iter().flatten() {
+            w.u64(cap);
         }
-        if self.budget.max_rows.is_some() {
-            flags |= 2;
-        }
-        out.push(flags);
-        if let Some(q) = self.budget.max_queries {
-            out.extend_from_slice(&q.to_le_bytes());
-        }
-        if let Some(r) = self.budget.max_rows {
-            out.extend_from_slice(&r.to_le_bytes());
-        }
-        out.extend_from_slice(&self.spent.queries.to_le_bytes());
-        out.extend_from_slice(&self.spent.rows.to_le_bytes());
-        out.extend_from_slice(&self.spent.cached_rows.to_le_bytes());
-        out
+        w.u64(self.spent.queries);
+        w.u64(self.spent.rows);
+        w.u64(self.spent.cached_rows);
+        w.finish()
     }
 
     /// Decodes a blob produced by [`BudgetMeter::to_blob`].
     pub fn from_blob(blob: &[u8]) -> Result<Self, CheckpointError> {
-        let mut c = Cursor::new(blob);
+        let mut c = Reader::new(blob);
         let version = c.u8()?;
         if version != METER_VERSION {
             return Err(CheckpointError::UnsupportedVersion(version));
@@ -169,11 +164,8 @@ impl BudgetMeter {
             rows: c.u64()?,
             cached_rows: c.u64()?,
         };
-        if c.remaining() != 0 {
-            return Err(CheckpointError::Corrupt(
-                "trailing bytes after budget meter",
-            ));
-        }
+        c.finish()
+            .map_err(|_| CheckpointError::Corrupt("trailing bytes after budget meter"))?;
         Ok(BudgetMeter {
             budget: QueryBudget {
                 max_queries,

@@ -13,6 +13,7 @@
 
 use crate::budget::{BudgetMeter, QueryBudget};
 use fia_core::QueryCost;
+use fia_linalg::codec::{fnv1a, CodecError, Reader, Writer};
 use fia_linalg::Matrix;
 
 /// Blob magic: `0xF1A_C4B01` truncated to 32 bits, little-endian on the
@@ -68,55 +69,12 @@ impl std::fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-/// FNV-1a over bytes (the blob's trailing integrity checksum).
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
-}
-
-/// A little-endian byte cursor shared by the checkpoint and budget-meter
-/// codecs.
-pub(crate) struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    pub(crate) fn new(bytes: &'a [u8]) -> Self {
-        Cursor { bytes, pos: 0 }
-    }
-
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        if self.bytes.len() - self.pos < n {
-            return Err(CheckpointError::Truncated);
+impl From<CodecError> for CheckpointError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Truncated => CheckpointError::Truncated,
+            CodecError::TrailingBytes => CheckpointError::Corrupt("trailing bytes"),
         }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, CheckpointError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn u16(&mut self) -> Result<u16, CheckpointError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, CheckpointError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, CheckpointError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
     }
 }
 
@@ -157,26 +115,22 @@ impl CampaignCheckpoint {
         }
         .to_blob();
         let fp = self.fingerprint.as_bytes();
-        let (rows, cols) = self.confidences.shape();
-        let mut out = Vec::with_capacity(64 + meter.len() + fp.len() + rows * cols * 8);
-        out.extend_from_slice(&MAGIC.to_le_bytes());
-        out.push(VERSION);
-        out.extend_from_slice(&(fp.len() as u16).to_le_bytes());
-        out.extend_from_slice(fp);
-        out.extend_from_slice(&self.seed.to_le_bytes());
-        out.extend_from_slice(&(meter.len() as u32).to_le_bytes());
-        out.extend_from_slice(&meter);
-        out.extend_from_slice(&(self.rows_done as u64).to_le_bytes());
-        out.extend_from_slice(&(self.chunks_issued as u64).to_le_bytes());
-        out.extend_from_slice(&(self.chunk as u64).to_le_bytes());
-        out.extend_from_slice(&(rows as u64).to_le_bytes());
-        out.extend_from_slice(&(cols as u64).to_le_bytes());
-        for &v in self.confidences.as_slice() {
-            out.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        let sum = fnv(&out);
-        out.extend_from_slice(&sum.to_le_bytes());
-        out
+        let cells = self.confidences.as_slice().len();
+        let mut w = Writer::with_capacity(64 + meter.len() + fp.len() + cells * 8);
+        w.u32(MAGIC);
+        w.u8(VERSION);
+        w.u16(fp.len() as u16);
+        w.bytes(fp);
+        w.u64(self.seed);
+        w.u32(meter.len() as u32);
+        w.bytes(&meter);
+        w.u64(self.rows_done as u64);
+        w.u64(self.chunks_issued as u64);
+        w.u64(self.chunk as u64);
+        w.matrix(&self.confidences);
+        let sum = fnv1a(w.as_slice());
+        w.u64(sum);
+        w.finish()
     }
 
     /// Decodes a blob produced by [`CampaignCheckpoint::to_blob`],
@@ -187,11 +141,10 @@ impl CampaignCheckpoint {
             return Err(CheckpointError::Truncated);
         }
         let (body, tail) = blob.split_at(blob.len() - 8);
-        let stored = u64::from_le_bytes(tail.try_into().unwrap());
-        if fnv(body) != stored {
+        if fnv1a(body) != Reader::new(tail).u64()? {
             return Err(CheckpointError::Corrupt("checksum mismatch"));
         }
-        let mut c = Cursor::new(body);
+        let mut c = Reader::new(body);
         if c.u32()? != MAGIC {
             return Err(CheckpointError::BadMagic);
         }
@@ -203,7 +156,7 @@ impl CampaignCheckpoint {
         if fp_len > MAX_FINGERPRINT_LEN {
             return Err(CheckpointError::Corrupt("fingerprint over length cap"));
         }
-        let fingerprint = std::str::from_utf8(c.take(fp_len)?)
+        let fingerprint = std::str::from_utf8(c.bytes(fp_len)?)
             .map_err(|_| CheckpointError::Corrupt("fingerprint is not utf-8"))?
             .to_string();
         let seed = c.u64()?;
@@ -211,7 +164,7 @@ impl CampaignCheckpoint {
         if meter_len > MAX_METER_LEN {
             return Err(CheckpointError::Corrupt("budget meter over length cap"));
         }
-        let meter = BudgetMeter::from_blob(c.take(meter_len)?)?;
+        let meter = BudgetMeter::from_blob(c.bytes(meter_len)?)?;
         let rows_done = c.u64()? as usize;
         let chunks_issued = c.u64()? as usize;
         let chunk = c.u64()? as usize;
@@ -226,17 +179,8 @@ impl CampaignCheckpoint {
         if rows != rows_done {
             return Err(CheckpointError::Corrupt("corpus rows disagree with cursor"));
         }
-        let bits = c.take(cells * 8)?;
-        let confidences = if cells == 0 {
-            Matrix::zeros(rows, cols)
-        } else {
-            let data: Vec<f64> = bits
-                .chunks_exact(8)
-                .map(|w| f64::from_bits(u64::from_le_bytes(w.try_into().unwrap())))
-                .collect();
-            Matrix::from_vec(rows, cols, data)
-                .map_err(|_| CheckpointError::Corrupt("matrix shape rejected"))?
-        };
+        let confidences = Matrix::from_vec(rows, cols, c.f64s(cells)?)
+            .map_err(|_| CheckpointError::Corrupt("matrix shape rejected"))?;
         Ok(CampaignCheckpoint {
             fingerprint,
             seed,
@@ -333,7 +277,7 @@ mod tests {
         // report version skew, not a checksum error.
         blob[4] = 9;
         let body_len = blob.len() - 8;
-        let sum = fnv(&blob[..body_len]);
+        let sum = fnv1a(&blob[..body_len]);
         blob[body_len..].copy_from_slice(&sum.to_le_bytes());
         assert_eq!(
             CampaignCheckpoint::from_blob(&blob),
@@ -343,7 +287,7 @@ mod tests {
         let mut blob = cp.to_blob();
         blob[0] ^= 0xFF;
         let body_len = blob.len() - 8;
-        let sum = fnv(&blob[..body_len]);
+        let sum = fnv1a(&blob[..body_len]);
         blob[body_len..].copy_from_slice(&sum.to_le_bytes());
         assert_eq!(
             CampaignCheckpoint::from_blob(&blob),

@@ -10,6 +10,7 @@
 use fia_core::QueryCost;
 use fia_linalg::Matrix;
 use fia_serve::AuditSummary;
+use fia_telemetry::json::escape;
 use fia_telemetry::TelemetrySnapshot;
 use std::fmt::Write as _;
 
@@ -175,26 +176,6 @@ impl CampaignReport {
         out.push_str("}\n");
         out
     }
-}
-
-/// JSON string escaping: backslash, quote, and control characters
-/// (caller-supplied dataset names can carry anything).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -21,6 +21,7 @@
 use crate::model::{ModelSpec, TrainedModel};
 use fia_data::{Dataset, PaperDataset, SplitSpec};
 use fia_defense::DefensePipeline;
+use fia_linalg::codec::Fnv1a;
 use fia_linalg::Matrix;
 use fia_vfl::{ThreatModel, VerticalPartition, VflSystem};
 use std::sync::Arc;
@@ -262,14 +263,11 @@ impl ScenarioSpec {
                 // Hash the whole dataset — features, labels and class
                 // count — so two custom datasets share a fingerprint
                 // only when every training-relevant byte agrees.
-                let mut h = fnv(0x5EED, &[]);
-                for &v in ds.features.as_slice() {
-                    h = (h ^ v.to_bits()).wrapping_mul(0x100000001b3);
-                }
+                let mut h = Fnv1a::seeded(0x5EED).f64s(ds.features.as_slice());
                 for &y in &ds.labels {
-                    h = (h ^ y as u64).wrapping_mul(0x100000001b3);
+                    h = h.word(y as u64);
                 }
-                h = (h ^ ds.n_classes as u64).wrapping_mul(0x100000001b3);
+                let h = h.word(ds.n_classes as u64).finish();
                 format!("custom:{}#{h:016x}", ds.name)
             }
         };
@@ -296,7 +294,7 @@ impl ScenarioSpec {
     /// with the same fingerprint saw the same data, split, partition,
     /// threat model, model family, defense stack, oracle kind and seed.
     pub fn fingerprint(&self) -> String {
-        format!("{:016x}", fnv(0xF1A, self.describe().as_bytes()))
+        fingerprint_of(&self.describe())
     }
 
     /// Resolves the data side of the scenario: generates/clones the
@@ -370,7 +368,7 @@ impl ScenarioSpec {
         // dataset); the fingerprint is derived from it.
         let description = self.describe();
         ResolvedScenario {
-            fingerprint: format!("{:016x}", fnv(0xF1A, description.as_bytes())),
+            fingerprint: fingerprint_of(&description),
             description,
             seed: self.seed,
             oracle: self.oracle,
@@ -381,14 +379,10 @@ impl ScenarioSpec {
     }
 }
 
-/// FNV-1a over bytes with a basis tweak.
-fn fnv(basis: u64, bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64 ^ basis.wrapping_mul(0x100000001b3);
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+/// The hex fingerprint of a scenario description.
+fn fingerprint_of(description: &str) -> String {
+    let h = Fnv1a::seeded(0xF1A).bytes(description.as_bytes()).finish();
+    format!("{h:016x}")
 }
 
 /// The resolved data side of a scenario (stage one of the build): the

@@ -1,8 +1,7 @@
 //! The daemon's client library: typed calls over the job wire ops.
 
-use crate::codec::BlobError;
 use crate::outcome::JobOutcome;
-use crate::spec::JobSpec;
+use crate::spec::{BlobError, JobSpec};
 use fia_serve::wire::{
     decode_response, encode_request, read_frame, write_frame, Request, Response, WireError,
 };

@@ -41,14 +41,12 @@
 //! typed client. See `tests/` for the kill-and-restart pin.
 
 pub mod client;
-mod codec;
 pub mod daemon;
 pub mod outcome;
 pub mod spec;
 pub mod wal;
 
 pub use client::{CampaignClient, DaemonClientError};
-pub use codec::BlobError;
 pub use daemon::{start, DaemonConfig, DaemonHandle};
 pub use outcome::{AttackOutcome, JobOutcome};
-pub use spec::{JobAttack, JobDefense, JobModel, JobOracle, JobSpec};
+pub use spec::{BlobError, JobAttack, JobDefense, JobModel, JobOracle, JobSpec};

@@ -10,15 +10,31 @@
 //! identity by comparing blobs, which is exactly what the
 //! kill-and-restart tests do.
 
-use crate::codec::{get_str, put_str, BlobError, Cursor};
+use crate::spec::BlobError;
 use fia_campaign::CampaignReport;
 use fia_core::QueryCost;
+use fia_linalg::codec::{Reader, Writer};
 
 /// Outcome blob format version.
 pub const OUTCOME_VERSION: u8 = 1;
 
 const MAX_ATTACKS: usize = 16;
 const MAX_FEATURES: usize = 1 << 16;
+
+/// Appends `len ∥ bytes` with a u16 length prefix.
+fn put_str(w: &mut Writer, s: &str) {
+    w.u16(u16::try_from(s.len()).expect("string field fits u16"));
+    w.bytes(s.as_bytes());
+}
+
+/// Reads a u16-length-prefixed UTF-8 string, capped at `max` bytes.
+fn get_str(r: &mut Reader<'_>, max: usize) -> Result<String, BlobError> {
+    let len = r.u16()? as usize;
+    if len > max {
+        return Err(BlobError::Invalid("string field too long"));
+    }
+    String::from_utf8(r.bytes(len)?.to_vec()).map_err(|_| BlobError::Invalid("string not utf-8"))
+}
 
 /// One attack's durable result.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,33 +97,31 @@ impl JobOutcome {
     /// Serializes the outcome as a versioned blob with bit-exact `f64`
     /// payloads.
     pub fn to_blob(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(128);
-        out.push(OUTCOME_VERSION);
-        put_str(&mut out, &self.fingerprint);
-        out.extend_from_slice(&self.seed.to_le_bytes());
-        out.push(u8::from(self.complete));
-        out.extend_from_slice(&self.rows_done.to_le_bytes());
-        out.extend_from_slice(&self.rows_planned.to_le_bytes());
-        out.extend_from_slice(&self.cost.queries.to_le_bytes());
-        out.extend_from_slice(&self.cost.rows.to_le_bytes());
-        out.extend_from_slice(&self.cost.cached_rows.to_le_bytes());
-        out.push(self.attacks.len() as u8);
+        let mut w = Writer::with_capacity(128);
+        w.u8(OUTCOME_VERSION);
+        put_str(&mut w, &self.fingerprint);
+        w.u64(self.seed);
+        w.u8(u8::from(self.complete));
+        w.u64(self.rows_done);
+        w.u64(self.rows_planned);
+        w.u64(self.cost.queries);
+        w.u64(self.cost.rows);
+        w.u64(self.cost.cached_rows);
+        w.u8(self.attacks.len() as u8);
         for a in &self.attacks {
-            put_str(&mut out, &a.attack);
-            out.extend_from_slice(&a.rows.to_le_bytes());
-            out.extend_from_slice(&a.degraded_rows.to_le_bytes());
-            out.extend_from_slice(&a.mse.to_bits().to_le_bytes());
-            out.extend_from_slice(&(a.per_feature_mse.len() as u32).to_le_bytes());
-            for &m in &a.per_feature_mse {
-                out.extend_from_slice(&m.to_bits().to_le_bytes());
-            }
+            put_str(&mut w, &a.attack);
+            w.u64(a.rows);
+            w.u64(a.degraded_rows);
+            w.f64(a.mse);
+            w.u32(a.per_feature_mse.len() as u32);
+            w.f64s(&a.per_feature_mse);
         }
-        out
+        w.finish()
     }
 
     /// Decodes an outcome blob; every failure is a typed [`BlobError`].
     pub fn from_blob(blob: &[u8]) -> Result<JobOutcome, BlobError> {
-        let mut c = Cursor::new(blob);
+        let mut c = Reader::new(blob);
         let version = c.u8()?;
         if version != OUTCOME_VERSION {
             return Err(BlobError::UnsupportedVersion(version));
@@ -140,10 +154,7 @@ impl JobOutcome {
             if n_feats > MAX_FEATURES {
                 return Err(BlobError::Invalid("too many features"));
             }
-            let mut per_feature_mse = Vec::with_capacity(n_feats);
-            for _ in 0..n_feats {
-                per_feature_mse.push(c.f64()?);
-            }
+            let per_feature_mse = c.f64s(n_feats)?;
             attacks.push(AttackOutcome {
                 attack,
                 rows,
@@ -227,6 +238,29 @@ mod tests {
         assert_eq!(
             JobOutcome::from_blob(&blob),
             Err(BlobError::UnsupportedVersion(3))
+        );
+    }
+
+    #[test]
+    fn strings_round_trip_and_reject_abuse() {
+        let mut w = Writer::new();
+        put_str(&mut w, "hello");
+        let out = w.finish();
+        let mut c = Reader::new(&out);
+        assert_eq!(get_str(&mut c, 16).unwrap(), "hello");
+        let mut c = Reader::new(&out);
+        assert_eq!(
+            get_str(&mut c, 3),
+            Err(BlobError::Invalid("string field too long"))
+        );
+        let mut bad = Writer::new();
+        bad.u16(2);
+        bad.bytes(&[0xFF, 0xFE]);
+        let bad = bad.finish();
+        let mut c = Reader::new(&bad);
+        assert_eq!(
+            get_str(&mut c, 16),
+            Err(BlobError::Invalid("string not utf-8"))
         );
     }
 }

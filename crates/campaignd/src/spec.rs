@@ -9,12 +9,49 @@
 //! fingerprint, which is what lets the daemon share one deployment
 //! between jobs that describe the same scenario.
 
-use crate::codec::{BlobError, Cursor};
 use fia_campaign::{
     AttackSpec, ModelSpec, OracleSpec, PartitionSpec, QueryBudget, ScenarioSpec, ServedConfig,
 };
 use fia_data::PaperDataset;
 use fia_defense::{DefensePipeline, RoundingDefense};
+use fia_linalg::codec::{CodecError, Reader, Writer};
+use std::fmt;
+
+/// A typed decode failure for campaignd blobs (job specs and outcomes).
+/// A malformed byte yields one of these, never a panic or a silent
+/// mis-read.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum BlobError {
+    /// The blob ended before the field being read.
+    Truncated,
+    /// The version byte names a format this build does not speak.
+    UnsupportedVersion(u8),
+    /// A field held a value the format forbids.
+    Invalid(&'static str),
+}
+
+impl fmt::Display for BlobError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            BlobError::Truncated => write!(f, "blob is truncated"),
+            BlobError::UnsupportedVersion(v) => {
+                write!(f, "unsupported blob version {v}")
+            }
+            BlobError::Invalid(why) => write!(f, "invalid blob field: {why}"),
+        }
+    }
+}
+
+impl std::error::Error for BlobError {}
+
+impl From<CodecError> for BlobError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Truncated => BlobError::Truncated,
+            CodecError::TrailingBytes => BlobError::Invalid("trailing bytes"),
+        }
+    }
+}
 
 /// Job-spec blob format version.
 pub const SPEC_VERSION: u8 = 1;
@@ -168,55 +205,51 @@ impl JobSpec {
 
     /// Serializes the spec as a versioned blob.
     pub fn to_blob(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
-        out.push(SPEC_VERSION);
-        out.push(dataset_code(self.dataset));
-        out.extend_from_slice(&self.scale.to_bits().to_le_bytes());
-        out.extend_from_slice(&self.target_fraction.to_bits().to_le_bytes());
-        out.extend_from_slice(&self.seed.to_le_bytes());
-        out.push(match self.model {
+        let mut w = Writer::with_capacity(64);
+        w.u8(SPEC_VERSION);
+        w.u8(dataset_code(self.dataset));
+        w.f64(self.scale);
+        w.f64(self.target_fraction);
+        w.u64(self.seed);
+        w.u8(match self.model {
             JobModel::Logistic => 0,
             JobModel::DecisionTree => 1,
         });
-        out.push(match self.defense {
+        w.u8(match self.defense {
             JobDefense::None => 0,
             JobDefense::RoundingFine => 1,
             JobDefense::RoundingCoarse => 2,
         });
-        out.push(self.attacks.len() as u8);
+        w.u8(self.attacks.len() as u8);
         for a in &self.attacks {
-            out.push(match a {
+            w.u8(match a {
                 JobAttack::Esa => 0,
                 JobAttack::Pra => 1,
             });
         }
-        let flags = u8::from(self.max_queries.is_some()) | (u8::from(self.max_rows.is_some()) << 1);
-        out.push(flags);
-        if let Some(q) = self.max_queries {
-            out.extend_from_slice(&q.to_le_bytes());
+        w.u8(u8::from(self.max_queries.is_some()) | (u8::from(self.max_rows.is_some()) << 1));
+        for cap in [self.max_queries, self.max_rows].into_iter().flatten() {
+            w.u64(cap);
         }
-        if let Some(r) = self.max_rows {
-            out.extend_from_slice(&r.to_le_bytes());
-        }
-        out.extend_from_slice(&self.chunk.to_le_bytes());
+        w.u32(self.chunk);
         match self.oracle {
-            JobOracle::InProcess => out.push(0),
+            JobOracle::InProcess => w.u8(0),
             JobOracle::Shared {
                 replicas,
                 cache_capacity,
             } => {
-                out.push(1);
-                out.extend_from_slice(&replicas.to_le_bytes());
-                out.extend_from_slice(&cache_capacity.to_le_bytes());
+                w.u8(1);
+                w.u32(replicas);
+                w.u32(cache_capacity);
             }
         }
-        out.extend_from_slice(&self.throttle_ms.to_le_bytes());
-        out
+        w.u32(self.throttle_ms);
+        w.finish()
     }
 
     /// Decodes and validates a spec blob.
     pub fn from_blob(blob: &[u8]) -> Result<JobSpec, BlobError> {
-        let mut c = Cursor::new(blob);
+        let mut c = Reader::new(blob);
         let version = c.u8()?;
         if version != SPEC_VERSION {
             return Err(BlobError::UnsupportedVersion(version));

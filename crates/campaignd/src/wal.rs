@@ -17,6 +17,7 @@
 //!   *previous* checkpoint — never garbage. Used for campaign
 //!   checkpoints, one per corpus chunk.
 
+use fia_linalg::codec::{fnv1a, Reader, Writer};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::Path;
@@ -27,17 +28,6 @@ pub const LOG_MAGIC: u32 = 0x464A_4C01;
 /// Upper bound on a single log record; a campaign checkpoint for the
 /// largest in-tree scenario is well under this.
 pub const MAX_RECORD_LEN: usize = 1 << 24;
-
-/// FNV-1a over a byte slice — the same checksum the campaign
-/// checkpoint blob uses, applied here per log frame.
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Writes `bytes` to `path` atomically: temp file in the same
 /// directory, fsync, rename over the destination, fsync the directory.
@@ -81,12 +71,12 @@ impl JobLog {
                 "job log record too large",
             ));
         }
-        let mut frame = Vec::with_capacity(payload.len() + 16);
-        frame.extend_from_slice(&LOG_MAGIC.to_le_bytes());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(payload);
-        frame.extend_from_slice(&fnv(payload).to_le_bytes());
-        self.file.write_all(&frame)?;
+        let mut frame = Writer::with_capacity(payload.len() + 16);
+        frame.u32(LOG_MAGIC);
+        frame.u32(payload.len() as u32);
+        frame.bytes(payload);
+        frame.u64(fnv1a(payload));
+        self.file.write_all(frame.as_slice())?;
         self.file.sync_data()
     }
 
@@ -105,31 +95,27 @@ impl JobLog {
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e),
         }
-        let mut last: Option<Vec<u8>> = None;
-        let mut pos = 0usize;
-        while let Some(header) = bytes.get(pos..pos + 8) {
-            let magic = u32::from_le_bytes(header[0..4].try_into().unwrap());
-            if magic != LOG_MAGIC {
-                break;
-            }
-            let len = u32::from_le_bytes(header[4..8].try_into().unwrap()) as usize;
-            if len > MAX_RECORD_LEN {
-                break;
-            }
-            let Some(payload) = bytes.get(pos + 8..pos + 8 + len) else {
-                break;
-            };
-            let Some(sum) = bytes.get(pos + 8 + len..pos + 16 + len) else {
-                break;
-            };
-            if u64::from_le_bytes(sum.try_into().unwrap()) != fnv(payload) {
-                break;
-            }
-            last = Some(payload.to_vec());
-            pos += 16 + len;
+        let mut r = Reader::new(&bytes);
+        let mut last = None;
+        while let Some(payload) = next_record(&mut r) {
+            last = Some(payload);
         }
-        Ok(last)
+        Ok(last.map(<[u8]>::to_vec))
     }
+}
+
+/// The next intact record's payload, or `None` at the first frame whose
+/// magic, length or checksum fails (or that the buffer cuts short).
+fn next_record<'a>(r: &mut Reader<'a>) -> Option<&'a [u8]> {
+    if r.u32().ok()? != LOG_MAGIC {
+        return None;
+    }
+    let len = r.u32().ok()? as usize;
+    if len > MAX_RECORD_LEN {
+        return None;
+    }
+    let payload = r.bytes(len).ok()?;
+    (r.u64().ok()? == fnv1a(payload)).then_some(payload)
 }
 
 #[cfg(test)]

@@ -10,6 +10,7 @@
 
 use crate::noise::NoiseDefense;
 use crate::rounding::RoundingDefense;
+use fia_linalg::codec::Fnv1a;
 use fia_linalg::Matrix;
 
 /// A confidence-score transformation applied at the protocol boundary
@@ -65,12 +66,7 @@ impl ScoreDefense for NoiseDefense {
     /// perturbation by differencing rounds, while a given batch remains
     /// deterministic for reproducible experiments.
     fn defend_batch(&self, scores: &Matrix) -> Matrix {
-        // FNV-1a over the raw score bits.
-        let mut h = 0xcbf29ce484222325u64 ^ self.seed.wrapping_mul(0x100000001b3);
-        for &v in scores.as_slice() {
-            h ^= v.to_bits();
-            h = h.wrapping_mul(0x100000001b3);
-        }
+        let h = Fnv1a::seeded(self.seed).f64s(scores.as_slice()).finish();
         NoiseDefense::new(self.sigma, h).perturb(scores)
     }
 }

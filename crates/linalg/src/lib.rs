@@ -12,6 +12,8 @@
 //! * [`pinv`] — Moore–Penrose pseudo-inverse (the workhorse of the
 //!   equality solving attack, Section IV-A of the paper).
 //! * [`lstsq`] — minimum-norm least-squares solve `argmin ‖Ax − b‖₂`.
+//! * [`codec`] — the workspace's one little-endian byte writer/reader
+//!   and its one FNV-1a, used by every blob, frame and fingerprint.
 //!
 //! All routines are written for clarity and numerical robustness on the
 //! small/medium systems the attacks produce (`(c−1) × d_target` matrices).
@@ -25,6 +27,7 @@
 //! worker running the same dispatched microkernel on its tile.
 
 mod cholesky;
+pub mod codec;
 mod error;
 pub mod kernel;
 mod lstsq;

@@ -24,7 +24,6 @@
 //!   an autograd tape so the GRN generator's loss can backpropagate
 //!   through it.
 
-pub mod bytesio;
 mod distill;
 mod forest;
 mod logistic;
@@ -33,10 +32,10 @@ mod persist;
 mod traits;
 mod tree;
 
-pub use bytesio::DecodeError;
 pub use distill::{distill_forest, distill_forest_with_pool, distillation_fidelity, DistillConfig};
 pub use forest::{ForestConfig, RandomForest};
 pub use logistic::{LogisticRegression, LrConfig};
 pub use mlp::{Activation, Mlp, MlpConfig};
+pub use persist::DecodeError;
 pub use traits::{accuracy, DifferentiableModel, PredictProba};
 pub use tree::{DecisionTree, TreeConfig, TreeNode};

@@ -6,6 +6,7 @@
 //! countermeasure; LayerNorm after each hidden layer is used by the GRN
 //! generator (Section VI-C).
 
+use crate::persist::{self, DecodeError};
 use crate::traits::{DifferentiableModel, PredictProba};
 use fia_data::{one_hot, Dataset};
 use fia_linalg::Matrix;
@@ -272,12 +273,12 @@ impl Mlp {
         self.params.scalar_count()
     }
 
-    /// Serializes architecture + weights (see [`crate::bytesio`]).
+    /// Serializes architecture + weights (the `FINN` format; see
+    /// [`fia_linalg::codec`]).
     pub fn to_bytes(&self) -> Vec<u8> {
-        use crate::bytesio::Writer;
-        let mut w = Writer::with_header(*b"FINN", 1);
-        w.usize(self.n_features);
-        w.usize(self.n_classes);
+        let mut w = persist::header(persist::NN_MAGIC);
+        w.u64(self.n_features as u64);
+        w.u64(self.n_classes as u64);
         w.u8(match self.activation {
             Activation::Relu => 0,
             Activation::Tanh => 1,
@@ -285,44 +286,45 @@ impl Mlp {
         });
         match self.dropout {
             Some(p) => {
-                w.bool(true);
+                w.u8(1);
                 w.f64(p);
             }
-            None => w.bool(false),
+            None => w.u8(0),
         }
-        w.usize(self.layers.len());
+        w.u64(self.layers.len() as u64);
         for layer in &self.layers {
             w.matrix(self.params.get(layer.w));
             w.matrix(self.params.get(layer.b));
             match layer.ln {
                 Some((gamma, beta)) => {
-                    w.bool(true);
+                    w.u8(1);
                     w.matrix(self.params.get(gamma));
                     w.matrix(self.params.get(beta));
                 }
-                None => w.bool(false),
+                None => w.u8(0),
             }
         }
         w.finish()
     }
 
     /// Deserializes a network written by [`Mlp::to_bytes`].
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, crate::bytesio::DecodeError> {
-        use crate::bytesio::{DecodeError, Reader};
-        let (mut r, version) = Reader::with_header(bytes, *b"FINN")?;
-        if version != 1 {
-            return Err(DecodeError::BadVersion(version));
-        }
-        let n_features = r.usize()?;
-        let n_classes = r.usize()?;
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
+        let mut r = persist::open(bytes, persist::NN_MAGIC)?;
+        let n_features = r.u64()? as usize;
+        let n_classes = r.u64()? as usize;
         let activation = match r.u8()? {
             0 => Activation::Relu,
             1 => Activation::Tanh,
             2 => Activation::Sigmoid,
             other => return Err(DecodeError::Corrupt(format!("bad activation {other}"))),
         };
-        let dropout = if r.bool()? { Some(r.f64()?) } else { None };
-        let n_layers = r.usize()?;
+        let dropout = if persist::flag(&mut r)? {
+            Some(r.f64()?)
+        } else {
+            None
+        };
+        // A layer takes at least two matrix headers and its flag byte.
+        let n_layers = persist::count(&mut r, 33)?;
         if n_layers == 0 {
             return Err(DecodeError::Corrupt("network with no layers".into()));
         }
@@ -342,7 +344,7 @@ impl Mlp {
             expect_in = wm.cols();
             let w = params.insert(wm);
             let b = params.insert(bm);
-            let ln = if r.bool()? {
+            let ln = if persist::flag(&mut r)? {
                 let gm = r.matrix()?;
                 let bm2 = r.matrix()?;
                 if gm.shape() != (1, expect_in) || bm2.shape() != (1, expect_in) {

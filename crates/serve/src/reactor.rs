@@ -640,6 +640,19 @@ impl Reactor {
         }
     }
 
+    /// Answers a request the reactor refuses before any dispatch.
+    ///
+    /// Like every reply path, it consumes the request span, which
+    /// finishes it, *before* staging the reply: a client that has read
+    /// the reply always finds its `serve.request` span in the trace.
+    fn reject(&mut self, id: u64, seq: u64, t0: Instant, req_span: Option<Span>, why: String) {
+        if let Some(s) = req_span {
+            s.record_str("outcome", "rejected");
+        }
+        self.shared.metrics.record_error();
+        self.stage_response(id, seq, t0, &Response::Error(why), true);
+    }
+
     fn start_stored(
         &mut self,
         id: u64,
@@ -654,13 +667,8 @@ impl Reactor {
         }
         let n = self.shared.info.n_samples;
         if let Some(&bad) = indices.iter().find(|&&i| (i as usize) >= n) {
-            if let Some(s) = &req_span {
-                s.record_str("outcome", "rejected");
-            }
-            self.shared.metrics.record_error();
-            let resp =
-                Response::Error(format!("sample index {bad} out of range (n_samples = {n})"));
-            self.stage_response(id, seq, t0, &resp, true);
+            let why = format!("sample index {bad} out of range (n_samples = {n})");
+            self.reject(id, seq, t0, req_span, why);
             return;
         }
         // Keep the u32 identities: the audit ledger tracks distinct and
@@ -672,7 +680,7 @@ impl Reactor {
             // directly. It still counts as one query in the ledger,
             // exactly as the client meters it.
             self.audit_stored(id, &raw, 0);
-            if let Some(s) = &req_span {
+            if let Some(s) = req_span {
                 s.record_str("outcome", "ok");
             }
             let resp = Response::Scores {
@@ -697,7 +705,7 @@ impl Reactor {
         if groups.is_empty() {
             // Fully cache-served: no round, no protocol cost.
             self.audit_stored(id, &raw, hits);
-            if let Some(s) = &req_span {
+            if let Some(s) = req_span {
                 s.record_str("outcome", "ok");
                 s.record_u64("cached_rows", hits);
             }
@@ -772,48 +780,39 @@ impl Reactor {
         let req_span = self.open_request_span(trace, "predict_features");
         let widths = &self.shared.info.party_widths;
         if slices.len() != widths.len() {
-            if let Some(s) = &req_span {
-                s.record_str("outcome", "rejected");
-            }
-            self.shared.metrics.record_error();
-            let resp = Response::Error(format!(
+            let why = format!(
                 "expected {} party feature blocks, got {}",
                 widths.len(),
                 slices.len()
-            ));
-            self.stage_response(id, seq, t0, &resp, true);
+            );
+            self.reject(id, seq, t0, req_span, why);
             return;
         }
         let rows = slices.first().map(|s| s.rows()).unwrap_or_default();
         if let Some(s) = &req_span {
             s.record_u64("rows", rows as u64);
         }
-        for (p, (block, &width)) in slices.iter().zip(widths).enumerate() {
-            if block.cols() != width {
-                if let Some(s) = &req_span {
-                    s.record_str("outcome", "rejected");
+        let bad_block = slices
+            .iter()
+            .zip(widths)
+            .enumerate()
+            .find_map(|(p, (block, &width))| {
+                if block.cols() != width {
+                    Some(format!(
+                        "party {p} block is {} wide, expected {width}",
+                        block.cols()
+                    ))
+                } else {
+                    (block.rows() != rows).then(|| "party blocks must be row-aligned".to_string())
                 }
-                self.shared.metrics.record_error();
-                let resp = Response::Error(format!(
-                    "party {p} block is {} wide, expected {width}",
-                    block.cols()
-                ));
-                self.stage_response(id, seq, t0, &resp, true);
-                return;
-            }
-            if block.rows() != rows {
-                if let Some(s) = &req_span {
-                    s.record_str("outcome", "rejected");
-                }
-                self.shared.metrics.record_error();
-                let resp = Response::Error("party blocks must be row-aligned".to_string());
-                self.stage_response(id, seq, t0, &resp, true);
-                return;
-            }
+            });
+        if let Some(why) = bad_block {
+            self.reject(id, seq, t0, req_span, why);
+            return;
         }
         if rows == 0 {
             self.audit_features(id, 0);
-            if let Some(s) = &req_span {
+            if let Some(s) = req_span {
                 s.record_str("outcome", "ok");
             }
             let resp = Response::Scores {
@@ -912,7 +911,8 @@ impl Reactor {
                 false,
             ),
         };
-        if let Some(s) = &p.req_span {
+        // Taking the span finishes it before the reply stages.
+        if let Some(s) = p.req_span.take() {
             s.record_str("outcome", if is_error { "error" } else { "ok" });
             if p.hits > 0 {
                 s.record_u64("cached_rows", p.hits);

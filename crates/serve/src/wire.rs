@@ -7,12 +7,17 @@
 //! an attack replayed over the network reproduce the in-process result
 //! to the last ulp.
 //!
-//! The codec enforces a NaN-free invariant: confidence scores and
+//! Fields are written and read through the workspace's one byte codec,
+//! [`fia_linalg::codec`], whose module docs tabulate this frame format
+//! next to every other blob format.
+//!
+//! The wire format enforces a NaN-free invariant: confidence scores and
 //! feature values are finite by construction everywhere in the system,
 //! so a NaN on the wire can only mean corruption — both encoder and
 //! decoder reject it.
 
 use fia_core::TraceContext;
+use fia_linalg::codec::{CodecError, Reader, Writer};
 use fia_linalg::Matrix;
 use std::io::{Read, Write};
 
@@ -343,188 +348,144 @@ pub enum Response {
     Error(String),
 }
 
+impl From<CodecError> for WireError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Truncated => WireError::Truncated,
+            CodecError::TrailingBytes => WireError::Malformed("trailing bytes after message"),
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
-// Primitive writers/readers over a byte buffer.
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
+// Field encodings over the shared byte codec.
 
 /// Length-prefixed UTF-8 string, capped at `max` bytes.
-fn put_str(out: &mut Vec<u8>, s: &str, max: usize) -> Result<(), WireError> {
+fn put_str(w: &mut Writer, s: &str, max: usize) -> Result<(), WireError> {
     if s.len() > max {
         return Err(WireError::Malformed("string exceeds field cap"));
     }
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
+    put_text(w, s);
     Ok(())
 }
 
-/// A cursor over a received payload.
-struct Scan<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// Length-prefixed UTF-8 text bounded only by the frame cap.
+fn put_text(w: &mut Writer, text: &str) {
+    w.u32(text.len() as u32);
+    w.bytes(text.as_bytes());
 }
 
-impl<'a> Scan<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Scan { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.pos + n > self.buf.len() {
-            return Err(WireError::Truncated);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Length-prefixed UTF-8 string, capped at `max` bytes.
-    fn str(&mut self, max: usize) -> Result<String, WireError> {
-        let n = self.u32()? as usize;
-        if n > max {
-            return Err(WireError::Malformed("string exceeds field cap"));
-        }
-        let bytes = self.take(n)?;
-        std::str::from_utf8(bytes)
-            .map(|s| s.to_string())
-            .map_err(|_| WireError::Malformed("string not utf-8"))
-    }
-
-    fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_bits(u64::from_le_bytes(
-            self.take(8)?.try_into().unwrap(),
-        )))
-    }
-
-    fn finish(&self) -> Result<(), WireError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(WireError::Malformed("trailing bytes after message"))
-        }
-    }
+/// Length-prefixed UTF-8 string, capped at `max` bytes.
+fn get_str(r: &mut Reader<'_>, max: usize) -> Result<String, WireError> {
+    get_text(r, max, "string exceeds field cap", "string not utf-8")
 }
 
-fn put_matrix(out: &mut Vec<u8>, m: &Matrix) -> Result<(), WireError> {
+/// Length-prefixed UTF-8 text capped at `max` bytes, with the field's
+/// own error messages.
+fn get_text(
+    r: &mut Reader<'_>,
+    max: usize,
+    too_long: &'static str,
+    not_utf8: &'static str,
+) -> Result<String, WireError> {
+    let n = r.u32()? as usize;
+    if n > max {
+        return Err(WireError::Malformed(too_long));
+    }
+    std::str::from_utf8(r.bytes(n)?)
+        .map(|s| s.to_string())
+        .map_err(|_| WireError::Malformed(not_utf8))
+}
+
+fn put_matrix(w: &mut Writer, m: &Matrix) -> Result<(), WireError> {
     if !m.is_finite() {
         return Err(WireError::NonFinite);
     }
-    put_u32(out, m.rows() as u32);
-    put_u32(out, m.cols() as u32);
-    for &v in m.as_slice() {
-        put_f64(out, v);
-    }
+    w.u32(m.rows() as u32);
+    w.u32(m.cols() as u32);
+    w.f64s(m.as_slice());
     Ok(())
 }
 
-fn get_matrix(scan: &mut Scan<'_>) -> Result<Matrix, WireError> {
-    let rows = scan.u32()? as usize;
-    let cols = scan.u32()? as usize;
+fn get_matrix(r: &mut Reader<'_>) -> Result<Matrix, WireError> {
+    let rows = r.u32()? as usize;
+    let cols = r.u32()? as usize;
     let elements = rows.saturating_mul(cols);
     if elements > MAX_FRAME_LEN / 8 {
         return Err(WireError::Malformed("matrix larger than frame cap"));
     }
     // The allocation is sized from an attacker-controlled header: the
-    // remaining payload must actually hold that many elements, so a
-    // tiny frame cannot request a frame-cap-sized buffer.
-    if elements * 8 > scan.buf.len() - scan.pos {
-        return Err(WireError::Truncated);
-    }
-    let mut data = Vec::with_capacity(elements);
-    for _ in 0..rows * cols {
-        let v = scan.f64()?;
-        if !v.is_finite() {
-            return Err(WireError::NonFinite);
-        }
-        data.push(v);
+    // codec checks the remaining payload actually holds that many
+    // elements, so a tiny frame cannot request a frame-cap-sized buffer.
+    let data = r.f64s(elements)?;
+    if !data.iter().all(|v| v.is_finite()) {
+        return Err(WireError::NonFinite);
     }
     Matrix::from_vec(rows, cols, data).map_err(|_| WireError::Malformed("bad matrix shape"))
 }
 
 /// 16-byte trace context: trace id then parent span id, little-endian.
-fn put_trace(out: &mut Vec<u8>, ctx: &TraceContext) {
-    put_u64(out, ctx.trace_id);
-    put_u64(out, ctx.parent_span);
+fn put_trace(w: &mut Writer, ctx: &TraceContext) {
+    w.u64(ctx.trace_id);
+    w.u64(ctx.parent_span);
 }
 
-fn get_trace(scan: &mut Scan<'_>) -> Result<TraceContext, WireError> {
+fn get_trace(r: &mut Reader<'_>) -> Result<TraceContext, WireError> {
     Ok(TraceContext {
-        trace_id: scan.u64()?,
-        parent_span: scan.u64()?,
+        trace_id: r.u64()?,
+        parent_span: r.u64()?,
     })
 }
 
-fn put_audit(out: &mut Vec<u8>, audit: &AuditSummary) -> Result<(), WireError> {
-    put_u64(out, audit.n_samples);
-    put_u32(out, audit.clients.len() as u32);
+fn put_audit(w: &mut Writer, audit: &AuditSummary) -> Result<(), WireError> {
+    w.u64(audit.n_samples);
+    w.u32(audit.clients.len() as u32);
     for c in &audit.clients {
-        put_str(out, &c.client, MAX_SESSION_TAG_LEN)?;
-        put_u64(out, c.queries);
-        put_u64(out, c.rows);
-        put_u64(out, c.cached_rows);
-        put_u64(out, c.distinct_rows);
-        put_u64(out, c.repeat_rows);
-        put_u64(out, c.feature_queries);
+        put_str(w, &c.client, MAX_SESSION_TAG_LEN)?;
+        w.u64(c.queries);
+        w.u64(c.rows);
+        w.u64(c.cached_rows);
+        w.u64(c.distinct_rows);
+        w.u64(c.repeat_rows);
+        w.u64(c.feature_queries);
         if !c.window_rate_rps.is_finite() {
             return Err(WireError::NonFinite);
         }
-        put_f64(out, c.window_rate_rps);
-        put_u32(out, c.flags.len() as u32);
+        w.f64(c.window_rate_rps);
+        w.u32(c.flags.len() as u32);
         for f in &c.flags {
-            put_str(out, f, 64)?;
+            put_str(w, f, 64)?;
         }
     }
     Ok(())
 }
 
-fn get_audit(scan: &mut Scan<'_>) -> Result<AuditSummary, WireError> {
-    let n_samples = scan.u64()?;
-    let n_clients = scan.u32()? as usize;
+fn get_audit(r: &mut Reader<'_>) -> Result<AuditSummary, WireError> {
+    let n_samples = r.u64()?;
+    let n_clients = r.u32()? as usize;
     if n_clients > 65_536 {
         return Err(WireError::Malformed("implausible audit client count"));
     }
     let mut clients = Vec::with_capacity(n_clients.min(1024));
     for _ in 0..n_clients {
-        let client = scan.str(MAX_SESSION_TAG_LEN)?;
-        let queries = scan.u64()?;
-        let rows = scan.u64()?;
-        let cached_rows = scan.u64()?;
-        let distinct_rows = scan.u64()?;
-        let repeat_rows = scan.u64()?;
-        let feature_queries = scan.u64()?;
-        let window_rate_rps = scan.f64()?;
+        let client = get_str(r, MAX_SESSION_TAG_LEN)?;
+        let queries = r.u64()?;
+        let rows = r.u64()?;
+        let cached_rows = r.u64()?;
+        let distinct_rows = r.u64()?;
+        let repeat_rows = r.u64()?;
+        let feature_queries = r.u64()?;
+        let window_rate_rps = r.f64()?;
         if !window_rate_rps.is_finite() {
             return Err(WireError::NonFinite);
         }
-        let n_flags = scan.u32()? as usize;
+        let n_flags = r.u32()? as usize;
         if n_flags > 64 {
             return Err(WireError::Malformed("implausible audit flag count"));
         }
         let mut flags = Vec::with_capacity(n_flags);
         for _ in 0..n_flags {
-            flags.push(scan.str(64)?);
+            flags.push(get_str(r, 64)?);
         }
         clients.push(ClientAudit {
             client,
@@ -542,53 +503,53 @@ fn get_audit(scan: &mut Scan<'_>) -> Result<AuditSummary, WireError> {
 }
 
 /// Length-prefixed opaque byte blob (job specs, outcome blobs).
-fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) -> Result<(), WireError> {
+fn put_bytes(w: &mut Writer, bytes: &[u8]) -> Result<(), WireError> {
     if bytes.len() > MAX_FRAME_LEN {
         return Err(WireError::TooLarge(bytes.len()));
     }
-    put_u32(out, bytes.len() as u32);
-    out.extend_from_slice(bytes);
+    w.u32(bytes.len() as u32);
+    w.bytes(bytes);
     Ok(())
 }
 
-fn get_bytes(scan: &mut Scan<'_>) -> Result<Vec<u8>, WireError> {
-    let n = scan.u32()? as usize;
+fn get_bytes(r: &mut Reader<'_>) -> Result<Vec<u8>, WireError> {
+    let n = r.u32()? as usize;
     if n > MAX_FRAME_LEN {
         return Err(WireError::Malformed("blob larger than frame cap"));
     }
-    Ok(scan.take(n)?.to_vec())
+    Ok(r.bytes(n)?.to_vec())
 }
 
-fn put_job_info(out: &mut Vec<u8>, info: &JobStatusInfo) -> Result<(), WireError> {
-    put_u64(out, info.id);
-    out.push(info.state.as_u8());
-    put_str(out, &info.fingerprint, 64)?;
-    put_u64(out, info.chunks_done);
-    put_u64(out, info.rows_done);
-    put_u64(out, info.rows_planned);
-    put_u64(out, info.queries);
-    put_u64(out, info.rows);
-    put_u64(out, info.cached_rows);
-    put_u64(out, info.resumes);
-    put_u64(out, info.events);
-    put_str(out, &info.detail, MAX_JOB_DETAIL_LEN)?;
+fn put_job_info(w: &mut Writer, info: &JobStatusInfo) -> Result<(), WireError> {
+    w.u64(info.id);
+    w.u8(info.state.as_u8());
+    put_str(w, &info.fingerprint, 64)?;
+    w.u64(info.chunks_done);
+    w.u64(info.rows_done);
+    w.u64(info.rows_planned);
+    w.u64(info.queries);
+    w.u64(info.rows);
+    w.u64(info.cached_rows);
+    w.u64(info.resumes);
+    w.u64(info.events);
+    put_str(w, &info.detail, MAX_JOB_DETAIL_LEN)?;
     Ok(())
 }
 
-fn get_job_info(scan: &mut Scan<'_>) -> Result<JobStatusInfo, WireError> {
+fn get_job_info(r: &mut Reader<'_>) -> Result<JobStatusInfo, WireError> {
     Ok(JobStatusInfo {
-        id: scan.u64()?,
-        state: JobState::from_u8(scan.u8()?)?,
-        fingerprint: scan.str(64)?,
-        chunks_done: scan.u64()?,
-        rows_done: scan.u64()?,
-        rows_planned: scan.u64()?,
-        queries: scan.u64()?,
-        rows: scan.u64()?,
-        cached_rows: scan.u64()?,
-        resumes: scan.u64()?,
-        events: scan.u64()?,
-        detail: scan.str(MAX_JOB_DETAIL_LEN)?,
+        id: r.u64()?,
+        state: JobState::from_u8(r.u8()?)?,
+        fingerprint: get_str(r, 64)?,
+        chunks_done: r.u64()?,
+        rows_done: r.u64()?,
+        rows_planned: r.u64()?,
+        queries: r.u64()?,
+        rows: r.u64()?,
+        cached_rows: r.u64()?,
+        resumes: r.u64()?,
+        events: r.u64()?,
+        detail: get_str(r, MAX_JOB_DETAIL_LEN)?,
     })
 }
 
@@ -597,240 +558,237 @@ fn get_job_info(scan: &mut Scan<'_>) -> Result<JobStatusInfo, WireError> {
 
 /// Serializes a request into a frame payload (no length prefix).
 pub fn encode_request(req: &Request) -> Result<Vec<u8>, WireError> {
-    let mut out = Vec::new();
+    let mut w = Writer::new();
     match req {
-        Request::Ping => out.push(req_tag::PING),
+        Request::Ping => w.u8(req_tag::PING),
         Request::PredictByIndex(indices) => {
-            out.push(req_tag::PREDICT_BY_INDEX);
-            put_u32(&mut out, indices.len() as u32);
-            for &i in indices {
-                put_u32(&mut out, i);
-            }
+            w.u8(req_tag::PREDICT_BY_INDEX);
+            put_indices(&mut w, indices);
         }
         Request::PredictFeatures(slices) => {
-            out.push(req_tag::PREDICT_FEATURES);
-            put_u32(&mut out, slices.len() as u32);
-            for m in slices {
-                put_matrix(&mut out, m)?;
-            }
+            w.u8(req_tag::PREDICT_FEATURES);
+            put_feature_blocks(&mut w, slices)?;
         }
-        Request::Info => out.push(req_tag::INFO),
-        Request::Metrics => out.push(req_tag::METRICS),
-        Request::Shutdown => out.push(req_tag::SHUTDOWN),
-        Request::MetricsText => out.push(req_tag::METRICS_TEXT),
+        Request::Info => w.u8(req_tag::INFO),
+        Request::Metrics => w.u8(req_tag::METRICS),
+        Request::Shutdown => w.u8(req_tag::SHUTDOWN),
+        Request::MetricsText => w.u8(req_tag::METRICS_TEXT),
         Request::PredictByIndexTraced(indices, ctx) => {
-            out.push(req_tag::PREDICT_BY_INDEX_TRACED);
-            put_trace(&mut out, ctx);
-            put_u32(&mut out, indices.len() as u32);
-            for &i in indices {
-                put_u32(&mut out, i);
-            }
+            w.u8(req_tag::PREDICT_BY_INDEX_TRACED);
+            put_trace(&mut w, ctx);
+            put_indices(&mut w, indices);
         }
         Request::PredictFeaturesTraced(slices, ctx) => {
-            out.push(req_tag::PREDICT_FEATURES_TRACED);
-            put_trace(&mut out, ctx);
-            put_u32(&mut out, slices.len() as u32);
-            for m in slices {
-                put_matrix(&mut out, m)?;
-            }
+            w.u8(req_tag::PREDICT_FEATURES_TRACED);
+            put_trace(&mut w, ctx);
+            put_feature_blocks(&mut w, slices)?;
         }
-        Request::TraceExport => out.push(req_tag::TRACE_EXPORT),
-        Request::AuditReport => out.push(req_tag::AUDIT_REPORT),
+        Request::TraceExport => w.u8(req_tag::TRACE_EXPORT),
+        Request::AuditReport => w.u8(req_tag::AUDIT_REPORT),
         Request::DeclareSession(tag) => {
-            out.push(req_tag::DECLARE_SESSION);
-            put_str(&mut out, tag, MAX_SESSION_TAG_LEN)?;
+            w.u8(req_tag::DECLARE_SESSION);
+            put_str(&mut w, tag, MAX_SESSION_TAG_LEN)?;
         }
         Request::JobSubmit(blob) => {
-            out.push(req_tag::JOB_SUBMIT);
-            put_bytes(&mut out, blob)?;
+            w.u8(req_tag::JOB_SUBMIT);
+            put_bytes(&mut w, blob)?;
         }
         Request::JobStatus(id) => {
-            out.push(req_tag::JOB_STATUS);
-            put_u64(&mut out, *id);
+            w.u8(req_tag::JOB_STATUS);
+            w.u64(*id);
         }
-        Request::JobList => out.push(req_tag::JOB_LIST),
+        Request::JobList => w.u8(req_tag::JOB_LIST),
         Request::JobCancel(id) => {
-            out.push(req_tag::JOB_CANCEL);
-            put_u64(&mut out, *id);
+            w.u8(req_tag::JOB_CANCEL);
+            w.u64(*id);
         }
         Request::JobAttach { id, from_seq } => {
-            out.push(req_tag::JOB_ATTACH);
-            put_u64(&mut out, *id);
-            put_u64(&mut out, *from_seq);
+            w.u8(req_tag::JOB_ATTACH);
+            w.u64(*id);
+            w.u64(*from_seq);
         }
         Request::JobReport(id) => {
-            out.push(req_tag::JOB_REPORT);
-            put_u64(&mut out, *id);
+            w.u8(req_tag::JOB_REPORT);
+            w.u64(*id);
         }
     }
-    Ok(out)
+    Ok(w.finish())
 }
 
 /// Index-list body shared by the plain and traced predict-by-index ops.
-fn get_indices(scan: &mut Scan<'_>) -> Result<Vec<u32>, WireError> {
-    let n = scan.u32()? as usize;
+fn put_indices(w: &mut Writer, indices: &[u32]) {
+    w.u32(indices.len() as u32);
+    for &i in indices {
+        w.u32(i);
+    }
+}
+
+fn get_indices(r: &mut Reader<'_>) -> Result<Vec<u32>, WireError> {
+    let n = r.u32()? as usize;
     if n > MAX_FRAME_LEN / 4 {
         return Err(WireError::Malformed("index batch larger than frame cap"));
     }
-    let mut indices = Vec::with_capacity(n);
+    let mut indices = Vec::with_capacity(r.count(n as u64, 4)?);
     for _ in 0..n {
-        indices.push(scan.u32()?);
+        indices.push(r.u32()?);
     }
     Ok(indices)
 }
 
 /// Per-party feature-block body shared by the plain and traced
 /// predict-features ops.
-fn get_feature_blocks(scan: &mut Scan<'_>) -> Result<Vec<Matrix>, WireError> {
-    let parties = scan.u32()? as usize;
+fn put_feature_blocks(w: &mut Writer, slices: &[Matrix]) -> Result<(), WireError> {
+    w.u32(slices.len() as u32);
+    slices.iter().try_for_each(|m| put_matrix(w, m))
+}
+
+fn get_feature_blocks(r: &mut Reader<'_>) -> Result<Vec<Matrix>, WireError> {
+    let parties = r.u32()? as usize;
     if parties > 4096 {
         return Err(WireError::Malformed("implausible party count"));
     }
     let mut slices = Vec::with_capacity(parties);
     for _ in 0..parties {
-        slices.push(get_matrix(scan)?);
+        slices.push(get_matrix(r)?);
     }
     Ok(slices)
 }
 
 /// Parses a frame payload into a request, rejecting trailing bytes.
 pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
-    let mut scan = Scan::new(payload);
-    let req = match scan.u8()? {
+    let mut r = Reader::new(payload);
+    let req = match r.u8()? {
         req_tag::PING => Request::Ping,
-        req_tag::PREDICT_BY_INDEX => Request::PredictByIndex(get_indices(&mut scan)?),
-        req_tag::PREDICT_FEATURES => Request::PredictFeatures(get_feature_blocks(&mut scan)?),
+        req_tag::PREDICT_BY_INDEX => Request::PredictByIndex(get_indices(&mut r)?),
+        req_tag::PREDICT_FEATURES => Request::PredictFeatures(get_feature_blocks(&mut r)?),
         req_tag::INFO => Request::Info,
         req_tag::METRICS => Request::Metrics,
         req_tag::SHUTDOWN => Request::Shutdown,
         req_tag::METRICS_TEXT => Request::MetricsText,
         req_tag::PREDICT_BY_INDEX_TRACED => {
-            let ctx = get_trace(&mut scan)?;
-            Request::PredictByIndexTraced(get_indices(&mut scan)?, ctx)
+            let ctx = get_trace(&mut r)?;
+            Request::PredictByIndexTraced(get_indices(&mut r)?, ctx)
         }
         req_tag::PREDICT_FEATURES_TRACED => {
-            let ctx = get_trace(&mut scan)?;
-            Request::PredictFeaturesTraced(get_feature_blocks(&mut scan)?, ctx)
+            let ctx = get_trace(&mut r)?;
+            Request::PredictFeaturesTraced(get_feature_blocks(&mut r)?, ctx)
         }
         req_tag::TRACE_EXPORT => Request::TraceExport,
         req_tag::AUDIT_REPORT => Request::AuditReport,
-        req_tag::DECLARE_SESSION => Request::DeclareSession(scan.str(MAX_SESSION_TAG_LEN)?),
-        req_tag::JOB_SUBMIT => Request::JobSubmit(get_bytes(&mut scan)?),
-        req_tag::JOB_STATUS => Request::JobStatus(scan.u64()?),
+        req_tag::DECLARE_SESSION => Request::DeclareSession(get_str(&mut r, MAX_SESSION_TAG_LEN)?),
+        req_tag::JOB_SUBMIT => Request::JobSubmit(get_bytes(&mut r)?),
+        req_tag::JOB_STATUS => Request::JobStatus(r.u64()?),
         req_tag::JOB_LIST => Request::JobList,
-        req_tag::JOB_CANCEL => Request::JobCancel(scan.u64()?),
+        req_tag::JOB_CANCEL => Request::JobCancel(r.u64()?),
         req_tag::JOB_ATTACH => Request::JobAttach {
-            id: scan.u64()?,
-            from_seq: scan.u64()?,
+            id: r.u64()?,
+            from_seq: r.u64()?,
         },
-        req_tag::JOB_REPORT => Request::JobReport(scan.u64()?),
+        req_tag::JOB_REPORT => Request::JobReport(r.u64()?),
         t => return Err(WireError::BadTag(t)),
     };
-    scan.finish()?;
+    r.finish()?;
     Ok(req)
 }
 
 /// Serializes a response into a frame payload (no length prefix).
 pub fn encode_response(resp: &Response) -> Result<Vec<u8>, WireError> {
-    let mut out = Vec::new();
+    let mut w = Writer::new();
     match resp {
-        Response::Pong => out.push(resp_tag::PONG),
+        Response::Pong => w.u8(resp_tag::PONG),
         Response::Scores {
             scores,
             cached_rows,
         } => {
-            out.push(resp_tag::SCORES);
-            put_u32(&mut out, *cached_rows);
-            put_matrix(&mut out, scores)?;
+            w.u8(resp_tag::SCORES);
+            w.u32(*cached_rows);
+            put_matrix(&mut w, scores)?;
         }
         Response::Info(info) => {
-            out.push(resp_tag::INFO);
-            put_u32(&mut out, info.n_samples as u32);
-            put_u32(&mut out, info.n_features as u32);
-            put_u32(&mut out, info.n_classes as u32);
-            put_u32(&mut out, info.party_widths.len() as u32);
-            for &w in &info.party_widths {
-                put_u32(&mut out, w as u32);
+            w.u8(resp_tag::INFO);
+            w.u32(info.n_samples as u32);
+            w.u32(info.n_features as u32);
+            w.u32(info.n_classes as u32);
+            w.u32(info.party_widths.len() as u32);
+            for &width in &info.party_widths {
+                w.u32(width as u32);
             }
         }
         Response::Metrics(m) => {
-            out.push(resp_tag::METRICS);
+            w.u8(resp_tag::METRICS);
             for v in m.as_wire_values() {
-                put_f64(&mut out, v);
+                w.f64(v);
             }
             // Per-replica gauges, length-prefixed: (rounds, rows) pairs.
             if m.replica_rounds.len() != m.replica_rows.len() {
                 return Err(WireError::Malformed("replica gauge length mismatch"));
             }
-            put_u32(&mut out, m.replica_rounds.len() as u32);
+            w.u32(m.replica_rounds.len() as u32);
             for (&rounds, &rows) in m.replica_rounds.iter().zip(&m.replica_rows) {
-                put_f64(&mut out, rounds as f64);
-                put_f64(&mut out, rows as f64);
+                w.f64(rounds as f64);
+                w.f64(rows as f64);
             }
         }
-        Response::ShuttingDown => out.push(resp_tag::SHUTTING_DOWN),
+        Response::ShuttingDown => w.u8(resp_tag::SHUTTING_DOWN),
         Response::MetricsText(text) => {
-            out.push(resp_tag::METRICS_TEXT);
-            put_u32(&mut out, text.len() as u32);
-            out.extend_from_slice(text.as_bytes());
+            w.u8(resp_tag::METRICS_TEXT);
+            put_text(&mut w, text);
         }
         Response::TraceJsonl(text) => {
-            out.push(resp_tag::TRACE_JSONL);
-            put_u32(&mut out, text.len() as u32);
-            out.extend_from_slice(text.as_bytes());
+            w.u8(resp_tag::TRACE_JSONL);
+            put_text(&mut w, text);
         }
         Response::Audit(audit) => {
-            out.push(resp_tag::AUDIT);
-            put_audit(&mut out, audit)?;
+            w.u8(resp_tag::AUDIT);
+            put_audit(&mut w, audit)?;
         }
-        Response::SessionAck => out.push(resp_tag::SESSION_ACK),
+        Response::SessionAck => w.u8(resp_tag::SESSION_ACK),
         Response::JobAccepted(id) => {
-            out.push(resp_tag::JOB_ACCEPTED);
-            put_u64(&mut out, *id);
+            w.u8(resp_tag::JOB_ACCEPTED);
+            w.u64(*id);
         }
         Response::JobInfo(info) => {
-            out.push(resp_tag::JOB_INFO);
-            put_job_info(&mut out, info)?;
+            w.u8(resp_tag::JOB_INFO);
+            put_job_info(&mut w, info)?;
         }
         Response::JobTable(rows) => {
-            out.push(resp_tag::JOB_TABLE);
-            put_u32(&mut out, rows.len() as u32);
+            w.u8(resp_tag::JOB_TABLE);
+            w.u32(rows.len() as u32);
             for info in rows {
-                put_job_info(&mut out, info)?;
+                put_job_info(&mut w, info)?;
             }
         }
         Response::JobEvent { id, seq, json } => {
-            out.push(resp_tag::JOB_EVENT);
-            put_u64(&mut out, *id);
-            put_u64(&mut out, *seq);
-            put_bytes(&mut out, json.as_bytes())?;
+            w.u8(resp_tag::JOB_EVENT);
+            w.u64(*id);
+            w.u64(*seq);
+            put_bytes(&mut w, json.as_bytes())?;
         }
         Response::JobEventsEnd { id, next_seq } => {
-            out.push(resp_tag::JOB_EVENTS_END);
-            put_u64(&mut out, *id);
-            put_u64(&mut out, *next_seq);
+            w.u8(resp_tag::JOB_EVENTS_END);
+            w.u64(*id);
+            w.u64(*next_seq);
         }
         Response::JobReportBlob(blob) => {
-            out.push(resp_tag::JOB_REPORT_BLOB);
-            put_bytes(&mut out, blob)?;
+            w.u8(resp_tag::JOB_REPORT_BLOB);
+            put_bytes(&mut w, blob)?;
         }
         Response::Error(msg) => {
-            out.push(resp_tag::ERROR);
-            put_u32(&mut out, msg.len() as u32);
-            out.extend_from_slice(msg.as_bytes());
+            w.u8(resp_tag::ERROR);
+            put_text(&mut w, msg);
         }
     }
-    Ok(out)
+    Ok(w.finish())
 }
 
 /// Parses a frame payload into a response, rejecting trailing bytes.
 pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
-    let mut scan = Scan::new(payload);
-    let resp = match scan.u8()? {
+    let mut r = Reader::new(payload);
+    let resp = match r.u8()? {
         resp_tag::PONG => Response::Pong,
         resp_tag::SCORES => {
-            let cached_rows = scan.u32()?;
-            let scores = get_matrix(&mut scan)?;
+            let cached_rows = r.u32()?;
+            let scores = get_matrix(&mut r)?;
             if (cached_rows as usize) > scores.rows() {
                 return Err(WireError::Malformed("cached_rows exceeds row count"));
             }
@@ -840,16 +798,16 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
             }
         }
         resp_tag::INFO => {
-            let n_samples = scan.u32()? as usize;
-            let n_features = scan.u32()? as usize;
-            let n_classes = scan.u32()? as usize;
-            let parties = scan.u32()? as usize;
+            let n_samples = r.u32()? as usize;
+            let n_features = r.u32()? as usize;
+            let n_classes = r.u32()? as usize;
+            let parties = r.u32()? as usize;
             if parties > 4096 {
                 return Err(WireError::Malformed("implausible party count"));
             }
             let mut party_widths = Vec::with_capacity(parties);
             for _ in 0..parties {
-                party_widths.push(scan.u32()? as usize);
+                party_widths.push(r.u32()? as usize);
             }
             Response::Info(ServerInfo {
                 n_samples,
@@ -861,81 +819,69 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
         resp_tag::METRICS => {
             let mut vals = [0.0f64; MetricsReport::WIRE_VALUES];
             for v in vals.iter_mut() {
-                *v = scan.f64()?;
+                *v = r.f64()?;
             }
             let mut report = MetricsReport::from_wire_values(&vals);
-            let replicas = scan.u32()? as usize;
+            let replicas = r.u32()? as usize;
             if replicas > 4096 {
                 return Err(WireError::Malformed("implausible replica count"));
             }
             for _ in 0..replicas {
-                report.replica_rounds.push(scan.f64()? as u64);
-                report.replica_rows.push(scan.f64()? as u64);
+                report.replica_rounds.push(r.f64()? as u64);
+                report.replica_rows.push(r.f64()? as u64);
             }
             Response::Metrics(report)
         }
         resp_tag::SHUTTING_DOWN => Response::ShuttingDown,
-        resp_tag::METRICS_TEXT => {
-            let n = scan.u32()? as usize;
-            if n > MAX_FRAME_LEN {
-                return Err(WireError::Malformed("exposition larger than frame"));
-            }
-            let bytes = scan.take(n)?;
-            let text = std::str::from_utf8(bytes)
-                .map_err(|_| WireError::Malformed("exposition not utf-8"))?;
-            Response::MetricsText(text.to_string())
-        }
-        resp_tag::TRACE_JSONL => {
-            let n = scan.u32()? as usize;
-            if n > MAX_FRAME_LEN {
-                return Err(WireError::Malformed("trace export larger than frame"));
-            }
-            let bytes = scan.take(n)?;
-            let text = std::str::from_utf8(bytes)
-                .map_err(|_| WireError::Malformed("trace export not utf-8"))?;
-            Response::TraceJsonl(text.to_string())
-        }
-        resp_tag::AUDIT => Response::Audit(get_audit(&mut scan)?),
+        resp_tag::METRICS_TEXT => Response::MetricsText(get_text(
+            &mut r,
+            MAX_FRAME_LEN,
+            "exposition larger than frame",
+            "exposition not utf-8",
+        )?),
+        resp_tag::TRACE_JSONL => Response::TraceJsonl(get_text(
+            &mut r,
+            MAX_FRAME_LEN,
+            "trace export larger than frame",
+            "trace export not utf-8",
+        )?),
+        resp_tag::AUDIT => Response::Audit(get_audit(&mut r)?),
         resp_tag::SESSION_ACK => Response::SessionAck,
-        resp_tag::JOB_ACCEPTED => Response::JobAccepted(scan.u64()?),
-        resp_tag::JOB_INFO => Response::JobInfo(get_job_info(&mut scan)?),
+        resp_tag::JOB_ACCEPTED => Response::JobAccepted(r.u64()?),
+        resp_tag::JOB_INFO => Response::JobInfo(get_job_info(&mut r)?),
         resp_tag::JOB_TABLE => {
-            let n = scan.u32()? as usize;
+            let n = r.u32()? as usize;
             if n > 65_536 {
                 return Err(WireError::Malformed("implausible job table size"));
             }
             let mut rows = Vec::with_capacity(n.min(1024));
             for _ in 0..n {
-                rows.push(get_job_info(&mut scan)?);
+                rows.push(get_job_info(&mut r)?);
             }
             Response::JobTable(rows)
         }
         resp_tag::JOB_EVENT => {
-            let id = scan.u64()?;
-            let seq = scan.u64()?;
-            let bytes = get_bytes(&mut scan)?;
+            let id = r.u64()?;
+            let seq = r.u64()?;
+            let bytes = get_bytes(&mut r)?;
             let json = String::from_utf8(bytes)
                 .map_err(|_| WireError::Malformed("job event not utf-8"))?;
             Response::JobEvent { id, seq, json }
         }
         resp_tag::JOB_EVENTS_END => Response::JobEventsEnd {
-            id: scan.u64()?,
-            next_seq: scan.u64()?,
+            id: r.u64()?,
+            next_seq: r.u64()?,
         },
-        resp_tag::JOB_REPORT_BLOB => Response::JobReportBlob(get_bytes(&mut scan)?),
-        resp_tag::ERROR => {
-            let n = scan.u32()? as usize;
-            if n > MAX_FRAME_LEN {
-                return Err(WireError::Malformed("error message larger than frame"));
-            }
-            let bytes = scan.take(n)?;
-            let msg = std::str::from_utf8(bytes)
-                .map_err(|_| WireError::Malformed("error message not utf-8"))?;
-            Response::Error(msg.to_string())
-        }
+        resp_tag::JOB_REPORT_BLOB => Response::JobReportBlob(get_bytes(&mut r)?),
+        resp_tag::ERROR => Response::Error(get_text(
+            &mut r,
+            MAX_FRAME_LEN,
+            "error message larger than frame",
+            "error message not utf-8",
+        )?),
         t => return Err(WireError::BadTag(t)),
     };
-    scan.finish()?;
+    r.finish()?;
     Ok(resp)
 }
 

@@ -22,8 +22,18 @@ use fia_serve::{
 use fia_vfl::{VerticalPartition, VflSystem};
 use std::io::Write;
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+
+/// The thread-budget test counts every thread in this process, so the
+/// tests here, each of which spawns a server, run one at a time.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn deployed() -> Arc<VflSystem<LogisticRegression>> {
     let d = 6;
@@ -71,6 +81,7 @@ fn eventually(timeout: Duration, mut f: impl FnMut() -> bool) -> bool {
 /// idle clients cost the server no threads at all.
 #[test]
 fn idle_connections_cost_no_threads_and_bookkeeping_stays_bounded() {
+    let _serial = serial();
     const IDLE: usize = 512;
     let (_system, server) = spawn(ServeConfig::default());
     let addr = server.addr();
@@ -117,6 +128,7 @@ fn idle_connections_cost_no_threads_and_bookkeeping_stays_bounded() {
 /// with the connection count.
 #[test]
 fn soak_512_connections_every_response_arrives() {
+    let _serial = serial();
     const CONNS: usize = 512;
     const TOTAL: usize = 2048;
     let (_system, server) = spawn(ServeConfig {
@@ -178,6 +190,7 @@ fn soak_512_connections_every_response_arrives() {
 /// thread's `set_read_timeout` had failed and `read()` blocked forever.
 #[test]
 fn shutdown_returns_promptly_under_idle_connections() {
+    let _serial = serial();
     let (_system, server) = spawn(ServeConfig::default());
     let addr = server.addr();
     let _idle: Vec<TcpStream> = (0..64)
@@ -216,6 +229,7 @@ fn shutdown_returns_promptly_under_idle_connections() {
 /// drained, their responses flushed, and only then do sockets close.
 #[test]
 fn mid_soak_shutdown_drains_queued_jobs() {
+    let _serial = serial();
     const CONNS: usize = 8;
     const PER_CONN: usize = 4;
     let (system, server) = spawn(ServeConfig {
@@ -271,6 +285,7 @@ fn mid_soak_shutdown_drains_queued_jobs() {
 /// even though their rounds complete concurrently on different shards.
 #[test]
 fn pipelined_requests_are_answered_in_order() {
+    let _serial = serial();
     const PIPELINED: usize = 24;
     let (system, server) = spawn(ServeConfig {
         replicas: 4,

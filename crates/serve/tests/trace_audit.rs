@@ -122,6 +122,30 @@ fn rejected_traced_requests_record_the_outcome() {
 }
 
 #[test]
+fn rejection_span_is_recorded_before_the_reply_every_time() {
+    // A rejected reply must never overtake its `serve.request` span: a
+    // client that has read the reply always finds the span. Loop the
+    // race on one server and count one rejected span per iteration.
+    let server = spawn(ServeConfig::default());
+    let mut oracle = RemoteOracle::connect(server.addr()).expect("connect");
+    oracle.set_trace_context(Some(TraceContext {
+        trace_id: 7,
+        parent_span: 9,
+    }));
+    for i in 1..=1000 {
+        assert!(oracle.predict_batch(&[N]).is_err(), "out of range rejects");
+        let rejected = server
+            .trace_jsonl()
+            .lines()
+            .filter(|l| l.contains("\"name\":\"serve.request\""))
+            .filter(|l| l.contains("\"outcome\":\"rejected\""))
+            .count();
+        assert_eq!(rejected, i, "iteration {i}");
+    }
+    server.shutdown();
+}
+
+#[test]
 fn audit_ledger_attributes_per_client_and_matches_their_meters() {
     let server = spawn(ServeConfig {
         replicas: 2,

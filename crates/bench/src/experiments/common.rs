@@ -10,6 +10,7 @@ use fia_models::{
     distill_forest_with_pool, DifferentiableModel, ForestConfig, LogisticRegression, Mlp,
     RandomForest,
 };
+use std::sync::Mutex;
 
 /// Trains the LR model for a scenario (binary or multinomial per `c`).
 pub fn train_lr(scenario: &Scenario, cfg: &ExperimentConfig, seed: u64) -> LogisticRegression {
@@ -113,29 +114,64 @@ pub fn average_over_trials(
 }
 
 /// Maps `f` over the inputs on scoped worker threads, preserving order.
-/// Keeps the repro binary's wall-clock reasonable when sweeping datasets.
+/// At most `available_parallelism` workers run, each pulling the next
+/// input off a shared queue, so a sweep never oversubscribes the box
+/// (per-phase timings then measure work, not scheduler contention).
 pub fn parallel_map<T: Send, R: Send>(inputs: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
-    let mut slots: Vec<Option<R>> = inputs.iter().map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for (slot, input) in slots.iter_mut().zip(inputs) {
-            let f = &f;
-            scope.spawn(move || {
-                *slot = Some(f(input));
-            });
-        }
+    let workers = std::thread::available_parallelism()
+        .map_or(1, |p| p.get())
+        .min(inputs.len());
+    let queue = Mutex::new(inputs.into_iter().enumerate());
+    let next = || queue.lock().expect("queue lock").next();
+    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    std::iter::from_fn(next)
+                        .map(|(i, x)| (i, f(x)))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("parallel_map worker panicked"))
+            .collect()
     });
-    slots.into_iter().map(|s| s.expect("filled")).collect()
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use fia_data::PaperDataset;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn parallel_map_preserves_order() {
         let out = parallel_map(vec![3u64, 1, 2], |x| x * 10);
         assert_eq!(out, vec![30, 10, 20]);
+
+        // More inputs than workers: order still holds, and no more than
+        // `available_parallelism` inputs are ever in flight at once.
+        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+        let live = AtomicUsize::new(0);
+        let peak = AtomicUsize::new(0);
+        let inputs: Vec<u64> = (0..(4 * cores as u64 + 3)).collect();
+        let out = parallel_map(inputs.clone(), |x| {
+            let now = live.fetch_add(1, Ordering::SeqCst) + 1;
+            peak.fetch_max(now, Ordering::SeqCst);
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            live.fetch_sub(1, Ordering::SeqCst);
+            x * 10
+        });
+        assert_eq!(out, inputs.iter().map(|x| x * 10).collect::<Vec<_>>());
+        let peak = peak.into_inner();
+        assert!(
+            (1..=cores).contains(&peak),
+            "peak concurrency {peak} with {cores} cores"
+        );
     }
 
     #[test]

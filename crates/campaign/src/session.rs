@@ -36,9 +36,7 @@ use fia_defense::{DefensePipeline, ScoreDefense};
 use fia_linalg::codec::fnv1a;
 use fia_linalg::Matrix;
 use fia_models::PredictProba;
-use fia_serve::{
-    AuditSummary, MetricsReport, PredictionServer, RemoteOracle, ServeConfig, ServerHandle,
-};
+use fia_serve::{AuditSummary, MetricsReport, RemoteOracle, ServerHandle};
 use fia_telemetry::{global, Counter, Span, TelemetrySnapshot, Tracer};
 use fia_vfl::VflSystem;
 use std::sync::Arc;
@@ -698,24 +696,8 @@ impl Campaign {
                 self.scenario.system.as_ref().clone(),
                 Arc::clone(&self.scenario.defense),
             )),
-            OracleSpec::Served(cfg) => {
-                let serve_cfg = ServeConfig {
-                    bind: "127.0.0.1:0".to_string(),
-                    replicas: cfg.replicas,
-                    batch_cap: cfg.batch_cap,
-                    batch_deadline: cfg.batch_deadline,
-                    coalesce: true,
-                    cache_capacity: cfg.cache_capacity,
-                    cache_seed: self.scenario.seed ^ 0x5C0_7E5,
-                    round_cost: cfg.round_cost,
-                    audit: true,
-                };
-                let server = PredictionServer::spawn(
-                    Arc::clone(&self.scenario.system),
-                    Arc::clone(&self.scenario.defense),
-                    serve_cfg,
-                )
-                .map_err(CampaignError::Spawn)?;
+            OracleSpec::Served(_) => {
+                let server = self.scenario.spawn_server().map_err(CampaignError::Spawn)?;
                 let mut client = RemoteOracle::connect(server.addr())
                     .map_err(|e| CampaignError::Connect(e.to_string()))?;
                 // Declare an audit-ledger session tag so the server's

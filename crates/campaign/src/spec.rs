@@ -23,6 +23,7 @@ use fia_data::{Dataset, PaperDataset, SplitSpec};
 use fia_defense::DefensePipeline;
 use fia_linalg::codec::Fnv1a;
 use fia_linalg::Matrix;
+use fia_serve::{PredictionServer, ServeConfig, ServerHandle};
 use fia_vfl::{ThreatModel, VerticalPartition, VflSystem};
 use std::sync::Arc;
 use std::time::Duration;
@@ -482,6 +483,36 @@ impl ResolvedScenario {
     /// The scenario seed.
     pub fn seed(&self) -> u64 {
         self.seed
+    }
+
+    /// Spawns this scenario's served deployment on an ephemeral port:
+    /// the one mapping from [`ServedConfig`] to a [`ServeConfig`], so
+    /// every caller (a campaign session, the campaign daemon) stands up
+    /// the same server. Fails with `InvalidInput` for an in-process
+    /// scenario.
+    pub fn spawn_server(&self) -> std::io::Result<ServerHandle> {
+        let OracleSpec::Served(cfg) = &self.oracle else {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "scenario has no served oracle",
+            ));
+        };
+        let serve_cfg = ServeConfig {
+            bind: "127.0.0.1:0".to_string(),
+            replicas: cfg.replicas,
+            batch_cap: cfg.batch_cap,
+            batch_deadline: cfg.batch_deadline,
+            coalesce: true,
+            cache_capacity: cfg.cache_capacity,
+            cache_seed: self.seed ^ 0x5C0_7E5,
+            round_cost: cfg.round_cost,
+            audit: true,
+        };
+        PredictionServer::spawn(
+            Arc::clone(&self.system),
+            Arc::clone(&self.defense),
+            serve_cfg,
+        )
     }
 }
 

@@ -2,9 +2,9 @@
 //! campaigns.
 //!
 //! One daemon process runs many campaigns concurrently on a bounded
-//! worker pool, multiplexes all client traffic through a single
-//! [`fia_serve::sys::Poller`] reactor thread (the same epoll/poll
-//! abstraction the prediction server uses), and survives `SIGKILL`:
+//! worker pool, serves all client traffic as a [`Handler`] on
+//! `fia-serve`'s connection reactor (the same event loop the
+//! prediction server runs on), and survives `SIGKILL`:
 //!
 //! - **Accept/submit**: clients speak the `fia-serve` wire protocol's
 //!   job ops (`JOB_SUBMIT` … `JOB_REPORT`). A submitted [`JobSpec`] is
@@ -23,27 +23,23 @@
 //!   `events.jsonl` under a gapless per-job sequence number; `JOB_ATTACH`
 //!   replays from any sequence and then streams live, so a client that
 //!   attaches mid-run (or re-attaches after a daemon restart) sees every
-//!   event exactly once, in order.
+//!   event exactly once, in order. A graceful shutdown ends every open
+//!   stream with `JOB_EVENTS_END` once the workers have suspended.
 
 use crate::outcome::JobOutcome;
 use crate::spec::{JobOracle, JobSpec};
 use crate::wal::{self, JobLog};
-use fia_campaign::{
-    Campaign, CampaignCheckpoint, CampaignEvent, OracleSpec, ResolvedScenario, StepOutcome,
-};
-use fia_serve::sys::{drain_wake_pipe, fd_of, wake_pair, Event, Interest, Poller, Waker};
-use fia_serve::wire::{decode_request, encode_response, Request, Response, MAX_FRAME_LEN};
-use fia_serve::{
-    JobState, JobStatusInfo, PredictionServer, RemoteOracle, ServeConfig, ServerHandle,
-};
-use fia_telemetry::{encode_prometheus, global, Counter, Tracer};
+use fia_campaign::{Campaign, CampaignCheckpoint, CampaignEvent, ResolvedScenario, StepOutcome};
+use fia_serve::reactor::{Handler, Notifier, Ticket, Transport};
+use fia_serve::wire::{Request, Response};
+use fia_serve::{JobState, JobStatusInfo, RemoteOracle, ServerHandle, ServerMetrics};
+use fia_telemetry::{global, Counter, Tracer};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fs::OpenOptions;
-use std::io::{self, ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::unix::net::UnixStream;
+use std::io::{self, ErrorKind, Write};
+use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -94,7 +90,8 @@ impl DaemonHandle {
 
     /// Stops the daemon and joins its threads. Running jobs checkpoint
     /// at their current chunk and return to `Pending`; a restart over
-    /// the same state directory resumes them.
+    /// the same state directory resumes them. Attached streams end with
+    /// `JobEventsEnd` before their connections close.
     pub fn shutdown(mut self) {
         self.shared.begin_shutdown();
         for t in self.threads.drain(..) {
@@ -118,7 +115,8 @@ struct JobEntry {
     events: u64,
     detail: String,
     cancel: bool,
-    subscribers: Vec<u64>,
+    /// Open `JobAttach` streams, each answered by `JobEventsEnd`.
+    subscribers: Vec<Ticket>,
     events_file: Option<std::fs::File>,
 }
 
@@ -155,9 +153,12 @@ struct Shared {
     queue: Mutex<VecDeque<u64>>,
     queue_cv: Condvar,
     deployments: Mutex<HashMap<String, Arc<Deployment>>>,
-    outbox: Mutex<Vec<(u64, Vec<u8>)>>,
-    waker: Waker,
-    shutdown: AtomicBool,
+    /// Stream frames from workers to the connection reactor.
+    notify: Notifier<StreamFrame>,
+    /// Set once: workers suspend their jobs and the reactor drains.
+    shutdown: Arc<AtomicBool>,
+    /// Workers not yet exited; the last one out ends open streams.
+    workers_live: AtomicUsize,
     jobs_total: Arc<Counter>,
     resumes_total: Arc<Counter>,
     replays_total: Arc<Counter>,
@@ -172,10 +173,10 @@ impl Shared {
     fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         self.queue_cv.notify_all();
-        self.waker.wake();
+        self.notify.wake();
     }
 
-    /// Appends one event to the job's durable stream and fans it out to
+    /// Appends one event to the job's durable stream and sends it to
     /// attached connections. The jobs lock serializes this against
     /// attach replay, which is what keeps every subscriber's view
     /// gapless.
@@ -191,23 +192,11 @@ impl Shared {
             let _ = f.write_all(b"\n");
         }
         entry.events += 1;
-        if entry.subscribers.is_empty() {
-            return;
+        for &ticket in &entry.subscribers {
+            let json = line.clone();
+            self.notify
+                .send((ticket, Response::JobEvent { id, seq, json }));
         }
-        let payload = encode_response(&Response::JobEvent {
-            id,
-            seq,
-            json: line,
-        })
-        .expect("job event encodes");
-        let subs = entry.subscribers.clone();
-        drop(jobs);
-        let mut outbox = self.outbox.lock().unwrap();
-        for tok in subs {
-            outbox.push((tok, payload.clone()));
-        }
-        drop(outbox);
-        self.waker.wake();
     }
 
     /// Moves a job to a terminal state: durable marker first, then the
@@ -222,8 +211,8 @@ impl Shared {
         self.close_job(id, state, detail);
     }
 
-    /// Updates the row and notifies subscribers without writing a
-    /// terminal marker — shared by finish and suspend paths.
+    /// Updates the row and ends its streams without writing a terminal
+    /// marker — shared by finish and suspend paths.
     fn close_job(&self, id: u64, state: JobState, detail: &str) {
         let mut jobs = self.jobs.lock().unwrap();
         let Some(entry) = jobs.get_mut(&id) else {
@@ -232,22 +221,21 @@ impl Shared {
         entry.state = state;
         entry.detail = detail.to_string();
         entry.events_file = None;
-        let subs = std::mem::take(&mut entry.subscribers);
+        self.end_streams(id, entry);
+    }
+
+    fn end_streams(&self, id: u64, entry: &mut JobEntry) {
         let next_seq = entry.events;
-        drop(jobs);
-        if subs.is_empty() {
-            return;
+        for ticket in std::mem::take(&mut entry.subscribers) {
+            self.notify
+                .send((ticket, Response::JobEventsEnd { id, next_seq }));
         }
-        let payload =
-            encode_response(&Response::JobEventsEnd { id, next_seq }).expect("end encodes");
-        let mut outbox = self.outbox.lock().unwrap();
-        for tok in subs {
-            outbox.push((tok, payload.clone()));
-        }
-        drop(outbox);
-        self.waker.wake();
     }
 }
+
+/// A frame for one attached stream: a `JobEvent`, or the
+/// `JobEventsEnd` that answers the attach.
+type StreamFrame = (Ticket, Response);
 
 /// Starts a daemon: recovers the state directory, binds the listener,
 /// spawns the reactor and worker threads, and records the bound address
@@ -255,9 +243,11 @@ impl Shared {
 pub fn start(config: DaemonConfig) -> io::Result<DaemonHandle> {
     std::fs::create_dir_all(config.state_dir.join("jobs"))?;
     let listener = TcpListener::bind(&config.bind)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
-    let (waker, wake_rx) = wake_pair()?;
+    let metrics = Arc::new(ServerMetrics::new());
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let transport = Transport::new(listener, Arc::clone(&metrics), Arc::clone(&shutdown))?;
+    let workers = config.workers.max(1);
 
     let shared = Arc::new(Shared {
         state_dir: config.state_dir.clone(),
@@ -266,9 +256,9 @@ pub fn start(config: DaemonConfig) -> io::Result<DaemonHandle> {
         queue: Mutex::new(VecDeque::new()),
         queue_cv: Condvar::new(),
         deployments: Mutex::new(HashMap::new()),
-        outbox: Mutex::new(Vec::new()),
-        waker,
-        shutdown: AtomicBool::new(false),
+        notify: transport.notifier(),
+        shutdown,
+        workers_live: AtomicUsize::new(workers),
         jobs_total: global().counter(
             "fia_campaignd_jobs_total",
             "Campaign jobs accepted by the daemon",
@@ -291,22 +281,16 @@ pub fn start(config: DaemonConfig) -> io::Result<DaemonHandle> {
     )?;
 
     let mut threads = Vec::new();
-    let reactor_shared = Arc::clone(&shared);
+    let handler = Jobs {
+        shared: Arc::clone(&shared),
+        metrics,
+    };
     threads.push(
         std::thread::Builder::new()
             .name("fia-campaignd-reactor".to_string())
-            .spawn(move || {
-                let mut r = match Reactor::new(reactor_shared, listener, wake_rx) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        eprintln!("fia-campaignd: reactor init failed: {e}");
-                        return;
-                    }
-                };
-                r.run();
-            })?,
+            .spawn(move || transport.run(handler))?,
     );
-    for i in 0..config.workers.max(1) {
+    for i in 0..workers {
         let worker_shared = Arc::clone(&shared);
         threads.push(
             std::thread::Builder::new()
@@ -432,24 +416,34 @@ enum JobEnd {
 }
 
 fn worker_loop(shared: Arc<Shared>) {
-    loop {
-        let id = {
-            let mut queue = shared.queue.lock().unwrap();
-            loop {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                if let Some(id) = queue.pop_front() {
-                    break id;
-                }
-                let (guard, _) = shared
-                    .queue_cv
-                    .wait_timeout(queue, Duration::from_millis(200))
-                    .unwrap();
-                queue = guard;
-            }
-        };
+    while let Some(id) = next_job(&shared) {
         run_job(&shared, id);
+    }
+    // Last worker out: every job is parked, so streams still open (on
+    // jobs no worker picked up) end here and the reactor can drain.
+    if shared.workers_live.fetch_sub(1, Ordering::SeqCst) == 1 {
+        let mut jobs = shared.jobs.lock().unwrap();
+        for (&id, entry) in jobs.iter_mut() {
+            shared.end_streams(id, entry);
+        }
+    }
+}
+
+/// Blocks for the next queued job; `None` once the daemon shuts down.
+fn next_job(shared: &Shared) -> Option<u64> {
+    let mut queue = shared.queue.lock().unwrap();
+    loop {
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return None;
+        }
+        if let Some(id) = queue.pop_front() {
+            return Some(id);
+        }
+        let (guard, _) = shared
+            .queue_cv
+            .wait_timeout(queue, Duration::from_millis(200))
+            .unwrap();
+        queue = guard;
     }
 }
 
@@ -496,31 +490,6 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
     span.finish();
 }
 
-fn spawn_deployment_server(scenario: &ResolvedScenario) -> Result<ServerHandle, String> {
-    // Mirror the campaign layer's served-oracle tuning so a daemon-run
-    // job observes the same deployment the in-process path would spawn.
-    let OracleSpec::Served(cfg) = scenario.oracle_spec() else {
-        return Err("shared oracle requires a served scenario".to_string());
-    };
-    let serve_cfg = ServeConfig {
-        bind: "127.0.0.1:0".to_string(),
-        replicas: cfg.replicas,
-        batch_cap: cfg.batch_cap,
-        batch_deadline: cfg.batch_deadline,
-        coalesce: true,
-        cache_capacity: cfg.cache_capacity,
-        cache_seed: scenario.seed() ^ 0x5C0_7E5,
-        round_cost: cfg.round_cost,
-        audit: true,
-    };
-    PredictionServer::spawn(
-        Arc::clone(scenario.system()),
-        Arc::clone(scenario.defense()),
-        serve_cfg,
-    )
-    .map_err(|e| format!("could not spawn shared deployment: {e}"))
-}
-
 fn drive_job(shared: &Arc<Shared>, id: u64, spec: &JobSpec) -> Result<JobEnd, String> {
     let dir = shared.job_dir(id);
     let scenario_spec = spec.to_scenario();
@@ -536,7 +505,11 @@ fn drive_job(shared: &Arc<Shared>, id: u64, spec: &JobSpec) -> Result<JobEnd, St
             None => {
                 let scenario = scenario_spec.build();
                 let server = match spec.oracle {
-                    JobOracle::Shared { .. } => Some(spawn_deployment_server(&scenario)?),
+                    JobOracle::Shared { .. } => Some(
+                        scenario
+                            .spawn_server()
+                            .map_err(|e| format!("could not spawn shared deployment: {e}"))?,
+                    ),
                     JobOracle::InProcess => None,
                 };
                 let d = Arc::new(Deployment { scenario, server });
@@ -660,231 +633,78 @@ fn flush_events(shared: &Shared, id: u64, pending: &mut Vec<CampaignEvent>) {
 }
 
 // ---------------------------------------------------------------------------
-// Reactor
+// Job ops
 // ---------------------------------------------------------------------------
 
-const LISTENER_TOKEN: u64 = u64::MAX;
-const WAKE_TOKEN: u64 = u64::MAX - 1;
-
-struct Conn {
-    stream: TcpStream,
-    inbox: Vec<u8>,
-    out: Vec<u8>,
-    out_pos: usize,
-    write_interest: bool,
-}
-
-struct Reactor {
+/// The daemon's [`Handler`] on `fia-serve`'s connection reactor: the
+/// job ops, `Ping`, `MetricsText` and `Shutdown`.
+struct Jobs {
     shared: Arc<Shared>,
-    poller: Poller,
-    listener: TcpListener,
-    wake_rx: UnixStream,
-    conns: HashMap<u64, Conn>,
-    next_token: u64,
+    metrics: Arc<ServerMetrics>,
 }
 
-impl Reactor {
-    fn new(shared: Arc<Shared>, listener: TcpListener, wake_rx: UnixStream) -> io::Result<Self> {
-        let mut poller = Poller::new()?;
-        poller.register(fd_of(&listener), LISTENER_TOKEN, Interest::READ)?;
-        poller.register(fd_of(&wake_rx), WAKE_TOKEN, Interest::READ)?;
-        Ok(Reactor {
-            shared,
-            poller,
-            listener,
-            wake_rx,
-            conns: HashMap::new(),
-            next_token: 0,
-        })
-    }
+impl Handler for Jobs {
+    type Completion = StreamFrame;
 
-    fn run(&mut self) {
-        let mut events: Vec<Event> = Vec::new();
-        loop {
-            if self.shared.shutdown.load(Ordering::SeqCst) {
-                self.drain_outbox();
-                self.flush_all();
-                return;
-            }
-            events.clear();
-            if let Err(e) = self
-                .poller
-                .wait(&mut events, Some(Duration::from_millis(250)))
-            {
-                if e.kind() == ErrorKind::Interrupted {
-                    continue;
-                }
-                eprintln!("fia-campaignd: poll failed: {e}");
-                return;
-            }
-            let mut dead: Vec<u64> = Vec::new();
-            for ev in &events {
-                match ev.token {
-                    WAKE_TOKEN => drain_wake_pipe(&self.wake_rx),
-                    LISTENER_TOKEN => self.accept_ready(),
-                    token => {
-                        if self.conn_ready(token, ev).is_err() {
-                            dead.push(token);
-                        }
-                    }
-                }
-            }
-            self.drain_outbox();
-            let mut flush_dead: Vec<u64> = Vec::new();
-            for (&token, conn) in self.conns.iter_mut() {
-                if flush_conn(&mut self.poller, token, conn).is_err() {
-                    flush_dead.push(token);
-                }
-            }
-            dead.extend(flush_dead);
-            for token in dead {
-                self.drop_conn(token);
-            }
-        }
-    }
-
-    fn accept_ready(&mut self) {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    if self
-                        .poller
-                        .register(fd_of(&stream), token, Interest::READ)
-                        .is_err()
-                    {
-                        continue;
-                    }
-                    self.conns.insert(
-                        token,
-                        Conn {
-                            stream,
-                            inbox: Vec::new(),
-                            out: Vec::new(),
-                            out_pos: 0,
-                            write_interest: false,
-                        },
-                    );
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return,
-            }
-        }
-    }
-
-    fn conn_ready(&mut self, token: u64, ev: &Event) -> Result<(), ()> {
-        let Some(mut conn) = self.conns.remove(&token) else {
-            return Ok(());
-        };
-        let mut result = Ok(());
-        if ev.readable || ev.closed {
-            result = self.read_conn(token, &mut conn);
-        }
-        if result.is_ok() && ev.writable {
-            result = flush_conn(&mut self.poller, token, &mut conn);
-        }
-        if result.is_ok() && ev.closed && conn.out_pos >= conn.out.len() {
-            result = Err(());
-        }
-        match result {
-            Ok(()) => {
-                self.conns.insert(token, conn);
-                Ok(())
-            }
-            Err(()) => {
-                self.conns.insert(token, conn);
-                Err(())
-            }
-        }
-    }
-
-    fn read_conn(&mut self, token: u64, conn: &mut Conn) -> Result<(), ()> {
-        let mut buf = [0u8; 16 * 1024];
-        loop {
-            match conn.stream.read(&mut buf) {
-                Ok(0) => {
-                    // Peer closed; serve whatever complete frames arrived.
-                    self.dispatch_frames(token, conn)?;
-                    return Err(());
-                }
-                Ok(n) => conn.inbox.extend_from_slice(&buf[..n]),
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return Err(()),
-            }
-        }
-        self.dispatch_frames(token, conn)
-    }
-
-    fn dispatch_frames(&mut self, token: u64, conn: &mut Conn) -> Result<(), ()> {
-        loop {
-            if conn.inbox.len() < 4 {
-                return Ok(());
-            }
-            let len = u32::from_le_bytes(conn.inbox[0..4].try_into().unwrap()) as usize;
-            if len > MAX_FRAME_LEN {
-                return Err(());
-            }
-            if conn.inbox.len() < 4 + len {
-                return Ok(());
-            }
-            let payload: Vec<u8> = conn.inbox[4..4 + len].to_vec();
-            conn.inbox.drain(..4 + len);
-            let response = match decode_request(&payload) {
-                Ok(request) => self.handle_request(token, conn, request),
-                Err(e) => Some(Response::Error(format!("bad request: {e}"))),
-            };
-            if let Some(resp) = response {
-                stage(conn, &resp);
-            }
-        }
-    }
-
-    /// Serves one request. Returns the response to stage, or `None`
-    /// when the handler staged its output itself (attach replay).
-    fn handle_request(&mut self, token: u64, conn: &mut Conn, req: Request) -> Option<Response> {
-        match req {
-            Request::Ping => Some(Response::Pong),
-            Request::MetricsText => Some(Response::MetricsText(encode_prometheus(
-                &global().snapshot(),
-            ))),
+    fn request(&mut self, io: &mut Transport<StreamFrame>, ticket: Ticket, req: Request) {
+        let resp = match req {
+            Request::Ping => Response::Pong,
+            // The reactor's `fia_serve_*` series plus the process-global
+            // registry (the daemon's `fia_campaignd_*` counters).
+            Request::MetricsText => Response::MetricsText(self.metrics.exposition()),
             Request::Shutdown => {
+                io.reply(ticket, &Response::ShuttingDown);
+                io.stop_reading(ticket.conn());
                 self.shared.begin_shutdown();
-                Some(Response::ShuttingDown)
+                return;
             }
-            Request::JobSubmit(blob) => Some(self.submit(&blob)),
+            Request::JobSubmit(blob) => self.submit(&blob),
             Request::JobStatus(id) => {
                 let jobs = self.shared.jobs.lock().unwrap();
-                Some(match jobs.get(&id) {
+                match jobs.get(&id) {
                     Some(entry) => Response::JobInfo(entry.row(id)),
                     None => Response::Error(format!("no such job: {id}")),
-                })
+                }
             }
             Request::JobList => {
                 let jobs = self.shared.jobs.lock().unwrap();
-                Some(Response::JobTable(
-                    jobs.iter().map(|(&id, e)| e.row(id)).collect(),
-                ))
+                Response::JobTable(jobs.iter().map(|(&id, e)| e.row(id)).collect())
             }
-            Request::JobCancel(id) => Some(self.cancel(id)),
+            Request::JobCancel(id) => self.cancel(id),
             Request::JobAttach { id, from_seq } => {
-                self.attach(token, conn, id, from_seq);
-                None
+                self.attach(io, ticket, id, from_seq);
+                return;
             }
-            Request::JobReport(id) => Some(self.report(id)),
-            _ => Some(Response::Error(
+            Request::JobReport(id) => self.report(id),
+            _ => Response::Error(
                 "fia-campaignd serves job ops; prediction ops are served by fia-serve deployments"
                     .to_string(),
-            )),
+            ),
+        };
+        if matches!(resp, Response::Error(_)) {
+            self.metrics.record_error();
+        }
+        io.reply(ticket, &resp);
+    }
+
+    fn completion(&mut self, io: &mut Transport<StreamFrame>, (ticket, resp): StreamFrame) {
+        if matches!(resp, Response::JobEventsEnd { .. }) {
+            io.reply(ticket, &resp);
+        } else {
+            io.stream(ticket, &resp);
         }
     }
 
-    fn submit(&mut self, blob: &[u8]) -> Response {
+    fn closed(&mut self, conn: u64) {
+        let mut jobs = self.shared.jobs.lock().unwrap();
+        for entry in jobs.values_mut() {
+            entry.subscribers.retain(|t| t.conn() != conn);
+        }
+    }
+}
+
+impl Jobs {
+    fn submit(&self, blob: &[u8]) -> Response {
         let spec = match JobSpec::from_blob(blob) {
             Ok(spec) => spec,
             Err(e) => return Response::Error(format!("bad job spec: {e}")),
@@ -928,7 +748,7 @@ impl Reactor {
         Response::JobAccepted(id)
     }
 
-    fn cancel(&mut self, id: u64) -> Response {
+    fn cancel(&self, id: u64) -> Response {
         let pending_cancel = {
             let mut jobs = self.shared.jobs.lock().unwrap();
             let Some(entry) = jobs.get_mut(&id) else {
@@ -968,16 +788,18 @@ impl Reactor {
         }
     }
 
-    /// Replays the job's buffered events from `from_seq` and, for live
-    /// jobs, subscribes the connection for everything after. Both happen
+    /// Streams the job's buffered events from `from_seq` and, for live
+    /// jobs, subscribes the ticket for everything after. Both happen
     /// under the jobs lock — the same lock every `emit_event` takes — so
     /// the replayed prefix and the live tail meet with no gap and no
-    /// duplicate.
-    fn attach(&mut self, token: u64, conn: &mut Conn, id: u64, from_seq: u64) {
+    /// duplicate. Once the daemon is shutting down nothing subscribes:
+    /// the stream ends where the durable log does.
+    fn attach(&self, io: &mut Transport<StreamFrame>, ticket: Ticket, id: u64, from_seq: u64) {
         let mut jobs = self.shared.jobs.lock().unwrap();
         let Some(entry) = jobs.get_mut(&id) else {
             drop(jobs);
-            stage(conn, &Response::Error(format!("no such job: {id}")));
+            self.metrics.record_error();
+            io.reply(ticket, &Response::Error(format!("no such job: {id}")));
             return;
         };
         let mut replayed = 0u64;
@@ -985,98 +807,27 @@ impl Reactor {
             let text = std::fs::read_to_string(self.shared.job_dir(id).join("events.jsonl"))
                 .unwrap_or_default();
             for (seq, line) in text.lines().enumerate().skip(from_seq as usize) {
-                stage(
-                    conn,
+                let json = line.to_string();
+                io.stream(
+                    ticket,
                     &Response::JobEvent {
                         id,
                         seq: seq as u64,
-                        json: line.to_string(),
+                        json,
                     },
                 );
                 replayed += 1;
             }
         }
-        if entry.state.is_terminal() {
+        if entry.state.is_terminal() || self.shared.shutdown.load(Ordering::SeqCst) {
             let next_seq = entry.events;
             drop(jobs);
-            stage(conn, &Response::JobEventsEnd { id, next_seq });
+            io.reply(ticket, &Response::JobEventsEnd { id, next_seq });
         } else {
-            entry.subscribers.push(token);
+            entry.subscribers.push(ticket);
         }
         if replayed > 0 {
             self.shared.replays_total.inc();
         }
     }
-
-    fn drain_outbox(&mut self) {
-        let staged: Vec<(u64, Vec<u8>)> = std::mem::take(&mut *self.shared.outbox.lock().unwrap());
-        for (token, payload) in staged {
-            if let Some(conn) = self.conns.get_mut(&token) {
-                push_frame(conn, &payload);
-            }
-        }
-    }
-
-    fn flush_all(&mut self) {
-        let tokens: Vec<u64> = self.conns.keys().copied().collect();
-        for token in tokens {
-            if let Some(conn) = self.conns.get_mut(&token) {
-                let _ = flush_conn(&mut self.poller, token, conn);
-            }
-        }
-    }
-
-    fn drop_conn(&mut self, token: u64) {
-        if let Some(conn) = self.conns.remove(&token) {
-            let _ = self.poller.deregister(fd_of(&conn.stream));
-        }
-        let mut jobs = self.shared.jobs.lock().unwrap();
-        for entry in jobs.values_mut() {
-            entry.subscribers.retain(|&t| t != token);
-        }
-    }
-}
-
-fn stage(conn: &mut Conn, resp: &Response) {
-    let payload = encode_response(resp).expect("response encodes");
-    push_frame(conn, &payload);
-}
-
-fn push_frame(conn: &mut Conn, payload: &[u8]) {
-    conn.out
-        .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    conn.out.extend_from_slice(payload);
-}
-
-/// Writes as much buffered output as the socket accepts; registers
-/// write interest only while bytes remain.
-fn flush_conn(poller: &mut Poller, token: u64, conn: &mut Conn) -> Result<(), ()> {
-    while conn.out_pos < conn.out.len() {
-        match conn.stream.write(&conn.out[conn.out_pos..]) {
-            Ok(0) => return Err(()),
-            Ok(n) => conn.out_pos += n,
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => return Err(()),
-        }
-    }
-    if conn.out_pos >= conn.out.len() {
-        conn.out.clear();
-        conn.out_pos = 0;
-        if conn.write_interest {
-            conn.write_interest = false;
-            let _ = poller.modify(fd_of(&conn.stream), token, Interest::READ);
-        }
-    } else if !conn.write_interest {
-        conn.write_interest = true;
-        let _ = poller.modify(
-            fd_of(&conn.stream),
-            token,
-            Interest {
-                read: true,
-                write: true,
-            },
-        );
-    }
-    Ok(())
 }

@@ -23,10 +23,11 @@
 //!
 //! ```text
 //!  client ──JOB_SUBMIT──▶ ┌────────────────────────────────┐
-//!  client ──JOB_ATTACH──▶ │ reactor (epoll/poll, 1 thread) │
+//!  client ──JOB_ATTACH──▶ │ fia_serve::reactor (1 thread)  │
+//!                         │ + the daemon's job-op handler  │
 //!                         └──────┬─────────────────────────┘
-//!                          queue │           ▲ events
-//!                         ┌──────▼──────┐    │
+//!                          queue │           ▲ events (completion
+//!                         ┌──────▼──────┐    │  channel + waker)
 //!                         │ worker pool │────┘  checkpoint per chunk
 //!                         └──────┬──────┘       └▶ jobs/<id>/job.log
 //!                     fingerprint│
@@ -36,6 +37,11 @@
 //!                         │  per scenario)          │
 //!                         └─────────────────────────┘
 //! ```
+//!
+//! The daemon owns no event loop of its own: its job ops are a
+//! [`fia_serve::reactor::Handler`] on the same transport the prediction
+//! server runs on, so accept backoff, pipelining limits, in-order
+//! replies and the shutdown drain behave the same in both.
 //!
 //! The daemon binary is `fia-campaignd`; [`CampaignClient`] is the
 //! typed client. See `tests/` for the kill-and-restart pin.

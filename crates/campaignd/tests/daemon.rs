@@ -247,3 +247,111 @@ fn graceful_shutdown_suspends_and_restart_resumes() {
     daemon.shutdown();
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Submits a slow job (`throttle_ms: 50`, `chunk: 4`) and waits until
+/// it has checkpointed `chunks` chunks.
+fn submit_running(client: &mut CampaignClient, seed: u64, chunks: u64) -> u64 {
+    let mut spec = small_spec(seed);
+    spec.throttle_ms = 50;
+    spec.chunk = 4;
+    let id = client.submit(&spec).unwrap();
+    loop {
+        let row = client.status(id).unwrap();
+        if row.chunks_done >= chunks {
+            return id;
+        }
+        assert!(!row.state.is_terminal(), "job ended before the test ran");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+#[test]
+fn graceful_shutdown_ends_attached_streams_and_reattach_is_gapless() {
+    let dir = state_dir("stream-end");
+    let daemon = start(DaemonConfig::new(&dir)).unwrap();
+    let mut client = CampaignClient::connect(daemon.addr()).unwrap();
+    let id = submit_running(&mut client, 13, 1);
+
+    let addr = daemon.addr();
+    let (seen_tx, seen_rx) = std::sync::mpsc::channel();
+    let streamer = std::thread::spawn(move || {
+        let mut c = CampaignClient::connect(addr).unwrap();
+        let mut seqs = Vec::new();
+        let next = c.attach(id, 0, |seq, _| {
+            seqs.push(seq);
+            let _ = seen_tx.send(seq);
+        });
+        (seqs, next)
+    });
+    // Shut down while the stream is live: replay done, live events
+    // flowing.
+    let mut live = 0;
+    while live < 2 {
+        seen_rx.recv_timeout(Duration::from_secs(30)).unwrap();
+        live += 1;
+    }
+    let t0 = std::time::Instant::now();
+    daemon.shutdown();
+    let took = t0.elapsed();
+    assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
+
+    let (seqs, next) = streamer.join().unwrap();
+    let next = next.expect("the stream ends with JobEventsEnd, not a closed socket");
+    assert_eq!(seqs, (0..next).collect::<Vec<u64>>());
+
+    // After a restart the job resumes, and attaching from `next` picks
+    // up exactly where the first stream ended.
+    let daemon = start(DaemonConfig::new(&dir)).unwrap();
+    let mut client = CampaignClient::connect(daemon.addr()).unwrap();
+    let row = client.wait_terminal(id, Duration::from_secs(60)).unwrap();
+    assert_eq!(row.state, JobState::Completed, "detail: {}", row.detail);
+    let mut tail = Vec::new();
+    let end = client.attach(id, next, |seq, _| tail.push(seq)).unwrap();
+    assert_eq!(end, row.events);
+    assert_eq!(tail, (next..end).collect::<Vec<u64>>());
+
+    daemon.shutdown();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn ping_pipelined_behind_attach_is_answered_after_the_stream_ends() {
+    use fia_serve::wire::{
+        decode_response, encode_request, read_frame, write_frame, Request, Response,
+    };
+
+    let dir = state_dir("pipelined");
+    let daemon = start(DaemonConfig::new(&dir)).unwrap();
+    let mut client = CampaignClient::connect(daemon.addr()).unwrap();
+    let id = submit_running(&mut client, 14, 2);
+
+    // Both requests in one write: the Ping is read while the attach
+    // stream is still live.
+    let mut raw = std::net::TcpStream::connect(daemon.addr()).unwrap();
+    let mut bytes = Vec::new();
+    for req in [Request::JobAttach { id, from_seq: 0 }, Request::Ping] {
+        write_frame(&mut bytes, &encode_request(&req).unwrap()).unwrap();
+    }
+    std::io::Write::write_all(&mut raw, &bytes).unwrap();
+
+    let next = |raw: &mut std::net::TcpStream| {
+        let frame = read_frame(raw)
+            .unwrap()
+            .expect("daemon closed the connection");
+        decode_response(&frame).unwrap()
+    };
+    let mut seqs = Vec::new();
+    let end = loop {
+        match next(&mut raw) {
+            Response::JobEvent { id: eid, seq, .. } if eid == id => seqs.push(seq),
+            Response::JobEventsEnd { id: eid, next_seq } if eid == id => break next_seq,
+            other => panic!("frame interleaved into the stream after {seqs:?}: {other:?}"),
+        }
+    };
+    assert_eq!(seqs, (0..end).collect::<Vec<u64>>());
+    assert_eq!(next(&mut raw), Response::Pong);
+    assert_eq!(end, client.status(id).unwrap().events);
+
+    daemon.shutdown();
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -19,7 +19,8 @@
 //!   with a portable `poll` fallback selectable via `FIA_FORCE_POLL=1`)
 //!   owns the listener and every client connection — incremental frame
 //!   assembly, classified accept-error backoff, in-order response
-//!   writes — and feeds a *replica pool* of batchers
+//!   writes ([`reactor`], which `fia-campaignd` runs its job ops on
+//!   too) — and feeds a *replica pool* of batchers
 //!   ([`ServeConfig::replicas`]), each owning a cheap clone of the
 //!   deployment, with the [`fia_defense::DefensePipeline`] applied once
 //!   per round at each replica's score-release boundary, graceful
@@ -58,7 +59,8 @@ mod coalesce;
 mod dispatch;
 mod metrics;
 mod pool;
-mod reactor;
+mod predict;
+pub mod reactor;
 mod server;
 pub mod sys;
 pub mod wire;

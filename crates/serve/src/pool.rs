@@ -20,7 +20,7 @@
 
 use crate::coalesce::{Coalescer, Coalescible};
 use crate::metrics::ServerMetrics;
-use crate::sys::Waker;
+use crate::reactor::Notifier;
 use fia_defense::{DefensePipeline, ScoreDefense};
 use fia_linalg::Matrix;
 use fia_models::PredictProba;
@@ -79,18 +79,16 @@ impl ReplyTo {
 /// happened — `Drop` delivers an error completion, so a connection can
 /// never wait forever on a reply that isn't coming.
 pub(crate) struct ReactorReply {
-    tx: Sender<Completion>,
-    waker: Waker,
+    notify: Notifier<Completion>,
     pending_id: u64,
     part: usize,
     sent: bool,
 }
 
 impl ReactorReply {
-    pub fn new(tx: Sender<Completion>, waker: Waker, pending_id: u64, part: usize) -> Self {
+    pub fn new(notify: Notifier<Completion>, pending_id: u64, part: usize) -> Self {
         ReactorReply {
-            tx,
-            waker,
+            notify,
             pending_id,
             part,
             sent: false,
@@ -102,12 +100,11 @@ impl ReactorReply {
             return;
         }
         self.sent = true;
-        let _ = self.tx.send(Completion {
+        self.notify.send(Completion {
             pending_id: self.pending_id,
             part: self.part,
             result,
         });
-        self.waker.wake();
     }
 }
 

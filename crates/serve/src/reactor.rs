@@ -1,52 +1,47 @@
 //! The readiness-driven connection reactor: one event-loop thread owns
-//! the listener and every client socket.
+//! a listener and every client socket, and hands each decoded request
+//! to a [`Handler`]. Both servers in the workspace run on it: the
+//! prediction server (`crate::predict`) and `fia-campaignd`'s job ops.
 //!
-//! The thread-per-connection server capped concurrency at the OS thread
-//! budget and hid three failure modes in its accept/shutdown path (an
-//! anonymous sleep on every accept error, a read timeout whose failure
-//! silently produced an unjoinable thread, and connection bookkeeping
-//! reaped only when the *next* client arrived). The reactor replaces
-//! all of it structurally:
+//! The [`Transport`] is everything about sockets and nothing about what
+//! a request means:
 //!
 //! * all sockets are nonblocking and multiplexed through the [`sys`]
 //!   shim (`epoll`, or `poll` under `FIA_FORCE_POLL=1`), so 4096 idle
 //!   connections cost four thousand fds and zero threads;
 //! * inbound bytes are assembled *incrementally* per connection and
-//!   complete frames are decoded with the same `wire.rs` codec the
-//!   blocking path used;
-//! * prediction work still flows to the [`Dispatcher`] → replica-pool
-//!   batchers by channel; completed sub-rounds come back on a
-//!   completion queue plus a [`Waker`] nudge, and responses are written
-//!   through the reactor's writable-readiness machinery — a slow reader
-//!   buffers its own responses and never blocks a batcher;
-//! * responses are emitted strictly in per-connection request order
-//!   (pipelined clients see FIFO answers even though rounds complete
-//!   out of order);
-//! * accept errors are classified ([`classify_accept_error`]) and
+//!   complete frames are decoded with the `wire.rs` codec, a bounded
+//!   number of read passes per readable event (`MAX_READ_PASSES`) and
+//!   a bounded number of unanswered requests per connection
+//!   (`PIPELINE_CAP`) before reads pause;
+//! * responses are emitted strictly in per-connection request order.
+//!   A request may be answered at once, later (work finished on another
+//!   thread comes back through a [`Notifier`]: a completion channel plus
+//!   a [`Waker`] nudge), or as a *stream* of frames that ends with its
+//!   reply; whatever was pipelined behind it waits its turn. Writes go
+//!   through writable-readiness interest, so a slow reader buffers its
+//!   own responses and never blocks a worker thread;
+//! * accept errors are classified (`classify_accept_error`) and
 //!   counted per kind (`fia_serve_accept_errors_total{kind=}`); fd
 //!   exhaustion backs off exponentially with listener interest
 //!   suspended, so the EMFILE regime is a counted, paced retry instead
 //!   of a silent hot loop;
-//! * shutdown drains: the listener closes immediately, queued jobs are
-//!   answered by the batchers, buffered responses are flushed (bounded
-//!   by [`DRAIN_DEADLINE`]), and the loop exits with every connection
-//!   accounted for.
+//! * shutdown drains: the listener closes immediately, reads stop,
+//!   unanswered requests and open streams are still answered, buffered
+//!   responses are flushed (bounded by `DRAIN_DEADLINE`), and the loop
+//!   exits with every connection accounted for.
+//!
+//! The handler is a type parameter, so the seam costs no dynamic call
+//! per request.
 
-use crate::audit::{AuditLedger, AuditSummary};
-use crate::dispatch::StoredPlan;
-use crate::metrics::AcceptErrorKind;
-use crate::pool::{Completion, ReactorReply, ReplyTo};
-use crate::server::Shared;
+use crate::metrics::{AcceptErrorKind, ServerMetrics};
 use crate::sys::{self, drain_wake_pipe, fd_of, Event, Interest, Poller, Waker};
-use crate::wire::{decode_request, encode_response, Request, Response, MAX_FRAME_LEN};
-use fia_core::TraceContext;
-use fia_linalg::Matrix;
-use fia_telemetry::Span;
+use crate::wire::{decode_request, encode_response_frame, Request, Response, MAX_FRAME_LEN};
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -69,9 +64,9 @@ const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
 const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(10);
 const ACCEPT_BACKOFF_MAX: Duration = Duration::from_secs(1);
 
-/// In-flight prediction requests per connection before the reactor
-/// stops reading from it — backpressure for pipelining clients, so one
-/// greedy connection cannot queue unbounded jobs.
+/// Unanswered requests per connection before the reactor stops reading
+/// from it — backpressure for pipelining clients, so one greedy
+/// connection cannot queue unbounded work.
 const PIPELINE_CAP: usize = 256;
 
 /// Bounded read passes per readable event, so one firehose connection
@@ -80,6 +75,70 @@ const MAX_READ_PASSES: usize = 16;
 
 /// Flushed-prefix length past which the output buffer is compacted.
 const COMPACT_THRESHOLD: usize = 64 * 1024;
+
+/// The service a [`Transport`] carries.
+pub trait Handler {
+    /// Work finished off the loop thread, sent back through the
+    /// transport's [`Notifier`].
+    type Completion: Send + 'static;
+
+    /// Serves one decoded request. The handler answers every ticket
+    /// exactly once with [`Transport::reply`] — now, or from a later
+    /// [`Handler::completion`] — after any number of
+    /// [`Transport::stream`] frames.
+    fn request(&mut self, io: &mut Transport<Self::Completion>, ticket: Ticket, req: Request);
+
+    /// Handles one completion, on the loop thread.
+    fn completion(&mut self, io: &mut Transport<Self::Completion>, done: Self::Completion);
+
+    /// A connection has closed; replies to its tickets go nowhere.
+    fn closed(&mut self, _conn: u64) {}
+}
+
+/// One request's place in its connection's response order.
+#[derive(Debug, Clone, Copy)]
+pub struct Ticket {
+    conn: u64,
+    seq: u64,
+    t0: Instant,
+}
+
+impl Ticket {
+    /// The connection the request arrived on.
+    pub fn conn(&self) -> u64 {
+        self.conn
+    }
+}
+
+/// The way back into the loop from other threads: a completion channel
+/// plus a [`Waker`] nudge.
+pub struct Notifier<C> {
+    tx: Sender<C>,
+    waker: Waker,
+}
+
+impl<C> Clone for Notifier<C> {
+    fn clone(&self) -> Self {
+        Notifier {
+            tx: self.tx.clone(),
+            waker: self.waker.clone(),
+        }
+    }
+}
+
+impl<C> Notifier<C> {
+    /// Queues one completion for [`Handler::completion`] and wakes the
+    /// loop. A completion sent after the loop has exited is dropped.
+    pub fn send(&self, done: C) {
+        let _ = self.tx.send(done);
+        self.waker.wake();
+    }
+
+    /// Wakes the loop, so it re-reads its stop flag now.
+    pub fn wake(&self) {
+        self.waker.wake();
+    }
+}
 
 /// One client connection's entire state — a struct, not a thread.
 struct Conn {
@@ -91,29 +150,25 @@ struct Conn {
     out_pos: usize,
     /// Sequence number assigned to the next parsed request.
     next_seq: u64,
-    /// Sequence number of the next response to emit into `out`.
+    /// Sequence number of the request whose frames go out next.
     emit_seq: u64,
-    /// Completed responses waiting on earlier sequence numbers.
+    /// Frames of later requests, waiting for their turn.
     staged: BTreeMap<u64, Staged>,
-    /// Prediction requests handed to the pool and not yet answered.
-    inflight: usize,
+    /// Requests read and not yet replied to.
+    open: usize,
     /// No more requests will be parsed (peer EOF, framing corruption,
     /// or server drain).
     read_done: bool,
     /// Close once everything staged and buffered has been written.
     close_when_flushed: bool,
-    /// Reads suspended at [`PIPELINE_CAP`].
+    /// Reads suspended at `PIPELINE_CAP`.
     paused_read: bool,
     /// Interest currently registered with the poller.
     reg: Interest,
-    /// Audit-ledger label: `conn-{id}` until the client declares a
-    /// session tag (`DeclareSession`), which survives as the stable
-    /// identity across reconnects.
-    label: String,
 }
 
 impl Conn {
-    fn new(stream: TcpStream, id: u64) -> Self {
+    fn new(stream: TcpStream) -> Self {
         Conn {
             stream,
             buf: Vec::new(),
@@ -122,12 +177,11 @@ impl Conn {
             next_seq: 0,
             emit_seq: 0,
             staged: BTreeMap::new(),
-            inflight: 0,
+            open: 0,
             read_done: false,
             close_when_flushed: false,
             paused_read: false,
             reg: Interest::READ,
-            label: format!("conn-{id}"),
         }
     }
 
@@ -136,121 +190,102 @@ impl Conn {
     }
 
     fn removable(&self) -> bool {
-        self.close_when_flushed
-            && self.inflight == 0
-            && self.staged.is_empty()
-            && self.out_drained()
+        self.close_when_flushed && self.open == 0 && self.staged.is_empty() && self.out_drained()
     }
 }
 
-/// An encoded response waiting for its in-order emission slot.
+/// Encoded frames of one request that is not yet next in order.
 struct Staged {
-    frame: Vec<u8>,
+    bytes: Vec<u8>,
     t0: Instant,
+    /// The reply is among `bytes`: the request is finished.
+    done: bool,
     error: bool,
 }
 
-/// One prediction request fanned out as per-shard sub-rounds.
-struct PendingRound {
-    conn: u64,
-    seq: u64,
-    t0: Instant,
-    /// Request-ordered output; cache hits prefilled, miss rows filled
-    /// as sub-rounds complete.
-    out: Matrix,
-    hits: u64,
-    /// `(shard, [(request pos, sample index)])` per part, as planned.
-    groups: Vec<(usize, Vec<(usize, usize)>)>,
-    remaining: usize,
-    /// Ad-hoc requests have a single part whose release *is* the output.
-    adhoc: bool,
-    failed: Option<String>,
-    /// The `serve.request` span (traced requests only); finishes when
-    /// the response is staged.
-    req_span: Option<Span>,
-    /// Per-part `serve.dispatch` spans, finished as parts complete.
-    dispatch_spans: Vec<Option<Span>>,
-    /// What the audit ledger records if the round succeeds (`None` when
-    /// auditing is off).
-    audit: Option<AuditKind>,
+/// Moves `frame` onto the end of `buf`, without a copy when `buf` is
+/// empty.
+fn append(buf: &mut Vec<u8>, frame: Vec<u8>) {
+    if buf.is_empty() {
+        *buf = frame;
+    } else {
+        buf.extend_from_slice(&frame);
+    }
 }
 
-/// Audit-ledger accounting deferred until a round's response stages.
-enum AuditKind {
-    /// Stored-index query: the queried identities plus cache hits.
-    Stored { indices: Vec<u32>, cached: u64 },
-    /// Ad-hoc feature query: row count only (no stored identity).
-    Features { rows: u64 },
-}
-
-/// The event loop. Owns the listener, every client socket, the poller
-/// and the in-flight bookkeeping; everything else reaches it through
-/// the completion queue + waker.
-pub(crate) struct Reactor {
+/// The event loop's socket side: the listener, every client socket, the
+/// poller and the completion queue. A [`Handler`] reaches it through
+/// [`Transport::reply`] and friends; other threads through a
+/// [`Notifier`].
+pub struct Transport<C> {
     poller: Poller,
     listener: Option<TcpListener>,
-    shared: Arc<Shared>,
+    metrics: Arc<ServerMetrics>,
+    stop: Arc<AtomicBool>,
     conns: HashMap<u64, Conn>,
     next_conn: u64,
-    pending: HashMap<u64, PendingRound>,
-    next_pending: u64,
-    completion_tx: Sender<Completion>,
-    completion_rx: Receiver<Completion>,
-    waker: Waker,
+    notifier: Notifier<C>,
+    completion_rx: Receiver<C>,
     wake_rx: UnixStream,
     scratch: Vec<u8>,
     accept_backoff: Duration,
     accept_paused_until: Option<Instant>,
     /// Drain deadline, set once the stop flag is noticed.
     draining: Option<Instant>,
-    /// Per-client leakage audit ledger; `None` when [`crate::ServeConfig`]
-    /// disables auditing. Owned by the reactor thread — counters are
-    /// plain integers, no locks on the request path.
-    ledger: Option<AuditLedger>,
+    /// Connections whose pipeline cap lifted; their buffered frames are
+    /// parsed at the end of the loop turn.
+    resumed: Vec<u64>,
+    /// Connections with streamed frames not yet flushed.
+    dirty: Vec<u64>,
+    /// Connections closed since the handler last heard.
+    closed: Vec<u64>,
 }
 
-impl Reactor {
-    /// Builds the reactor around an already-bound nonblocking listener
-    /// and returns it with the waker [`crate::ServerHandle`] uses to
-    /// nudge the loop on shutdown.
-    pub fn new(listener: TcpListener, shared: Arc<Shared>) -> io::Result<(Reactor, Waker)> {
+impl<C> Transport<C> {
+    /// Builds the transport around a bound listener (switched to
+    /// nonblocking here). Counters go to `metrics`; setting `stop` and
+    /// waking the [`Transport::notifier`] starts the drain.
+    pub fn new(
+        listener: TcpListener,
+        metrics: Arc<ServerMetrics>,
+        stop: Arc<AtomicBool>,
+    ) -> io::Result<Transport<C>> {
+        listener.set_nonblocking(true)?;
         let mut poller = Poller::new()?;
         let (waker, wake_rx) = sys::wake_pair()?;
         poller.register(fd_of(&listener), LISTENER_TOKEN, Interest::READ)?;
         poller.register(fd_of(&wake_rx), WAKER_TOKEN, Interest::READ)?;
-        let (completion_tx, completion_rx) = mpsc::channel();
-        let handle_waker = waker.clone();
-        let ledger = shared
-            .audit
-            .then(|| AuditLedger::new(Arc::clone(shared.metrics.registry())));
-        Ok((
-            Reactor {
-                poller,
-                listener: Some(listener),
-                shared,
-                conns: HashMap::new(),
-                next_conn: 0,
-                pending: HashMap::new(),
-                next_pending: 0,
-                completion_tx,
-                completion_rx,
-                waker,
-                wake_rx,
-                scratch: vec![0u8; 64 * 1024],
-                accept_backoff: ACCEPT_BACKOFF_MIN,
-                accept_paused_until: None,
-                draining: None,
-                ledger,
-            },
-            handle_waker,
-        ))
+        let (tx, completion_rx) = mpsc::channel();
+        Ok(Transport {
+            poller,
+            listener: Some(listener),
+            metrics,
+            stop,
+            conns: HashMap::new(),
+            next_conn: 0,
+            notifier: Notifier { tx, waker },
+            completion_rx,
+            wake_rx,
+            scratch: vec![0u8; 64 * 1024],
+            accept_backoff: ACCEPT_BACKOFF_MIN,
+            accept_paused_until: None,
+            draining: None,
+            resumed: Vec::new(),
+            dirty: Vec::new(),
+            closed: Vec::new(),
+        })
     }
 
-    /// The event loop body; runs until shutdown has drained.
-    pub fn run(mut self) {
+    /// A handle other threads use to send completions and wake the loop.
+    pub fn notifier(&self) -> Notifier<C> {
+        self.notifier.clone()
+    }
+
+    /// The event loop body; runs `handler` until shutdown has drained.
+    pub fn run<H: Handler<Completion = C>>(mut self, mut handler: H) {
         let mut events: Vec<Event> = Vec::new();
         loop {
-            if self.shared.stop.load(Ordering::SeqCst) {
+            if self.stop.load(Ordering::SeqCst) {
                 self.begin_drain();
             }
             if let Some(deadline) = self.draining {
@@ -274,7 +309,7 @@ impl Reactor {
                 .is_err()
             {
                 // A wait that cannot make progress is fatal: drain out.
-                self.shared.stop.store(true, Ordering::SeqCst);
+                self.stop.store(true, Ordering::SeqCst);
                 continue;
             }
             for ev in std::mem::take(&mut events) {
@@ -288,7 +323,7 @@ impl Reactor {
                             continue;
                         }
                         if ev.readable {
-                            self.on_conn_readable(id);
+                            self.on_conn_readable(id, &mut handler);
                         }
                         if ev.writable {
                             self.flush_and_update(id);
@@ -296,13 +331,32 @@ impl Reactor {
                     }
                 }
             }
-            while let Ok(c) = self.completion_rx.try_recv() {
-                self.on_completion(c);
+            while let Ok(done) = self.completion_rx.try_recv() {
+                handler.completion(&mut self, done);
             }
+            self.settle(&mut handler);
         }
-        // Any pending completions past this point belong to connections
-        // that no longer exist; the batchers drain and exit on their own
-        // stop-flag tick, joined by the server handle.
+        // Completions past this point belong to connections that no
+        // longer exist.
+    }
+
+    /// End-of-turn bookkeeping: parse what backpressure held back, flush
+    /// streamed frames, and tell the handler which connections closed.
+    fn settle<H: Handler<Completion = C>>(&mut self, handler: &mut H) {
+        while let Some(id) = self.resumed.pop() {
+            // No readable event will announce frames buffered while the
+            // pipeline cap held.
+            self.parse_frames(id, handler);
+            self.flush_and_update(id);
+        }
+        self.dirty.sort_unstable();
+        self.dirty.dedup();
+        for id in std::mem::take(&mut self.dirty) {
+            self.flush_and_update(id);
+        }
+        for id in std::mem::take(&mut self.closed) {
+            handler.closed(id);
+        }
     }
 
     fn wait_timeout(&self) -> Duration {
@@ -333,12 +387,9 @@ impl Reactor {
                     self.accept_backoff = ACCEPT_BACKOFF_MIN;
                     // A socket that can't go nonblocking can't be driven
                     // by the event loop: close it rather than proceed
-                    // with a mode that would hang the loop (the blocking
-                    // server's set_read_timeout bug, fixed structurally).
+                    // with a mode that would hang the loop.
                     if stream.set_nonblocking(true).is_err() {
-                        self.shared
-                            .metrics
-                            .record_accept_error(AcceptErrorKind::Setup);
+                        self.metrics.record_accept_error(AcceptErrorKind::Setup);
                         continue;
                     }
                     let _ = stream.set_nodelay(true);
@@ -349,20 +400,17 @@ impl Reactor {
                         .register(fd_of(&stream), id, Interest::READ)
                         .is_err()
                     {
-                        self.shared
-                            .metrics
-                            .record_accept_error(AcceptErrorKind::Setup);
+                        self.metrics.record_accept_error(AcceptErrorKind::Setup);
                         continue;
                     }
-                    self.conns.insert(id, Conn::new(stream, id));
-                    self.shared
-                        .metrics
+                    self.conns.insert(id, Conn::new(stream));
+                    self.metrics
                         .record_connection_opened(self.conns.len() as u64);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) => {
                     let kind = classify_accept_error(&e);
-                    self.shared.metrics.record_accept_error(kind);
+                    self.metrics.record_accept_error(kind);
                     match kind {
                         // Per-connection failures consume the pending
                         // connection; keep accepting.
@@ -418,7 +466,7 @@ impl Reactor {
     // -----------------------------------------------------------------
     // Reading and frame assembly.
 
-    fn on_conn_readable(&mut self, id: u64) {
+    fn on_conn_readable<H: Handler<Completion = C>>(&mut self, id: u64, handler: &mut H) {
         let mut dead = false;
         {
             let Some(conn) = self.conns.get_mut(&id) else {
@@ -455,536 +503,142 @@ impl Reactor {
             self.remove_conn(id);
             return;
         }
-        self.parse_frames(id);
+        self.parse_frames(id, handler);
         self.flush_and_update(id);
     }
 
-    /// Drains every complete frame out of `buf`, up to the pipeline cap.
-    fn parse_frames(&mut self, id: u64) {
+    /// Hands every complete frame in `buf` to the handler, up to the
+    /// pipeline cap.
+    fn parse_frames<H: Handler<Completion = C>>(&mut self, id: u64, handler: &mut H) {
         loop {
-            let payload = {
+            let (payload, ticket) = {
                 let Some(conn) = self.conns.get_mut(&id) else {
                     return;
                 };
                 if conn.read_done || conn.buf.len() < 4 {
-                    None
-                } else if conn.inflight >= PIPELINE_CAP {
-                    // Backpressure: stop reading until rounds complete.
-                    conn.paused_read = true;
-                    None
-                } else {
-                    let len =
-                        u32::from_le_bytes(conn.buf[..4].try_into().expect("4 bytes")) as usize;
-                    if len > MAX_FRAME_LEN {
-                        // Framing corruption: not a decodable request,
-                        // so there is nothing to answer — stop reading
-                        // and close once prior responses have flushed.
-                        conn.read_done = true;
-                        conn.close_when_flushed = true;
-                        conn.buf.clear();
-                        None
-                    } else if conn.buf.len() < 4 + len {
-                        None // incomplete frame: wait for more bytes
-                    } else {
-                        let payload = conn.buf[4..4 + len].to_vec();
-                        conn.buf.drain(..4 + len);
-                        Some(payload)
-                    }
+                    return;
                 }
-            };
-            match payload {
-                Some(p) => self.handle_request(id, p),
-                None => return,
-            }
-        }
-    }
-
-    // -----------------------------------------------------------------
-    // Request handling (validation identical to the blocking server's).
-
-    fn handle_request(&mut self, id: u64, payload: Vec<u8>) {
-        let t0 = Instant::now();
-        let seq = {
-            let Some(conn) = self.conns.get_mut(&id) else {
-                return;
-            };
-            let s = conn.next_seq;
-            conn.next_seq += 1;
-            s
-        };
-        match decode_request(&payload) {
-            Err(e) => {
-                self.shared.metrics.record_error();
-                self.stage_response(
-                    id,
-                    seq,
-                    t0,
-                    &Response::Error(format!("bad request: {e}")),
-                    true,
-                );
-            }
-            Ok(Request::Ping) => self.stage_response(id, seq, t0, &Response::Pong, false),
-            Ok(Request::Info) => {
-                let info = self.shared.info.clone();
-                self.stage_response(id, seq, t0, &Response::Info(info), false);
-            }
-            Ok(Request::Metrics) => {
-                let report = self.shared.metrics.report();
-                self.stage_response(id, seq, t0, &Response::Metrics(report), false);
-            }
-            Ok(Request::MetricsText) => {
-                let text = self.shared.metrics.exposition();
-                self.stage_response(id, seq, t0, &Response::MetricsText(text), false);
-            }
-            Ok(Request::Shutdown) => {
-                self.stage_response(id, seq, t0, &Response::ShuttingDown, false);
-                if let Some(conn) = self.conns.get_mut(&id) {
+                if conn.open >= PIPELINE_CAP {
+                    // Backpressure: stop reading until requests finish.
+                    conn.paused_read = true;
+                    return;
+                }
+                let len = u32::from_le_bytes(conn.buf[..4].try_into().expect("4 bytes")) as usize;
+                if len > MAX_FRAME_LEN {
+                    // Framing corruption: not a decodable request, so
+                    // there is nothing to answer — stop reading and
+                    // close once prior responses have flushed.
                     conn.read_done = true;
                     conn.close_when_flushed = true;
+                    conn.buf.clear();
+                    return;
                 }
-                self.flush_and_update(id);
-                self.shared.stop.store(true, Ordering::SeqCst);
-                // The drain starts on the next loop turn.
-            }
-            Ok(Request::PredictByIndex(indices)) => self.start_stored(id, seq, t0, indices, None),
-            Ok(Request::PredictFeatures(slices)) => self.start_adhoc(id, seq, t0, slices, None),
-            Ok(Request::PredictByIndexTraced(indices, ctx)) => {
-                self.start_stored(id, seq, t0, indices, Some(ctx))
-            }
-            Ok(Request::PredictFeaturesTraced(slices, ctx)) => {
-                self.start_adhoc(id, seq, t0, slices, Some(ctx))
-            }
-            Ok(Request::TraceExport) => {
-                let text = self.shared.tracer.to_jsonl();
-                self.stage_response(id, seq, t0, &Response::TraceJsonl(text), false);
-            }
-            Ok(Request::AuditReport) => {
-                let n = self.shared.info.n_samples as u64;
-                let summary = match &mut self.ledger {
-                    Some(ledger) => ledger.summary(n, Instant::now()),
-                    // Auditing off: an empty report, not an error — the
-                    // op stays probeable either way.
-                    None => AuditSummary {
-                        n_samples: n,
-                        clients: Vec::new(),
-                    },
+                if conn.buf.len() < 4 + len {
+                    return; // incomplete frame: wait for more bytes
+                }
+                let payload = conn.buf[4..4 + len].to_vec();
+                conn.buf.drain(..4 + len);
+                let ticket = Ticket {
+                    conn: id,
+                    seq: conn.next_seq,
+                    t0: Instant::now(),
                 };
-                self.stage_response(id, seq, t0, &Response::Audit(summary), false);
-            }
-            Ok(
-                Request::JobSubmit(_)
-                | Request::JobStatus(_)
-                | Request::JobList
-                | Request::JobCancel(_)
-                | Request::JobAttach { .. }
-                | Request::JobReport(_),
-            ) => {
-                // Job ops share the tag space but are a campaign-daemon
-                // surface; a prediction server rejects them with a typed
-                // error so a misdirected client fails loudly, not oddly.
-                self.shared.metrics.record_error();
-                self.stage_response(
-                    id,
-                    seq,
-                    t0,
-                    &Response::Error(
-                        "job ops are served by fia-campaignd, not a prediction server".to_string(),
-                    ),
-                    true,
-                );
-            }
-            Ok(Request::DeclareSession(tag)) => {
-                if let Some(conn) = self.conns.get_mut(&id) {
-                    // An empty tag reverts to the per-connection default.
-                    conn.label = if tag.is_empty() {
-                        format!("conn-{id}")
-                    } else {
-                        tag
-                    };
+                conn.next_seq += 1;
+                conn.open += 1;
+                (payload, ticket)
+            };
+            match decode_request(&payload) {
+                Ok(req) => handler.request(self, ticket, req),
+                Err(e) => {
+                    self.metrics.record_error();
+                    self.reply(ticket, &Response::Error(format!("bad request: {e}")));
                 }
-                self.stage_response(id, seq, t0, &Response::SessionAck, false);
             }
         }
-    }
-
-    /// Opens the `serve.request` span for a traced request: a
-    /// server-side root *linked* to the client-side span id carried in
-    /// the frame, which is what joins the two JSONL streams after a
-    /// merge. Untraced requests cost no span at all.
-    fn open_request_span(&self, ctx: Option<TraceContext>, op: &str) -> Option<Span> {
-        ctx.map(|c| {
-            let s = self
-                .shared
-                .tracer
-                .root_with_parent("serve.request", c.parent_span);
-            s.record_u64("trace_id", c.trace_id);
-            s.record_str("op", op);
-            s
-        })
-    }
-
-    /// Records one successfully answered stored-index query against the
-    /// connection's ledger entry. Called exactly where a `Scores`
-    /// response stages — the same event the client meters — which is
-    /// what the server/client `QueryCost` parity guarantee rests on.
-    fn audit_stored(&mut self, id: u64, indices: &[u32], cached_rows: u64) {
-        if let (Some(ledger), Some(conn)) = (&mut self.ledger, self.conns.get(&id)) {
-            ledger.record_stored(&conn.label, indices, cached_rows, Instant::now());
-        }
-    }
-
-    /// Ledger entry for one successfully answered ad-hoc feature query.
-    fn audit_features(&mut self, id: u64, rows: u64) {
-        if let (Some(ledger), Some(conn)) = (&mut self.ledger, self.conns.get(&id)) {
-            ledger.record_features(&conn.label, rows, Instant::now());
-        }
-    }
-
-    /// Answers a request the reactor refuses before any dispatch.
-    ///
-    /// Like every reply path, it consumes the request span, which
-    /// finishes it, *before* staging the reply: a client that has read
-    /// the reply always finds its `serve.request` span in the trace.
-    fn reject(&mut self, id: u64, seq: u64, t0: Instant, req_span: Option<Span>, why: String) {
-        if let Some(s) = req_span {
-            s.record_str("outcome", "rejected");
-        }
-        self.shared.metrics.record_error();
-        self.stage_response(id, seq, t0, &Response::Error(why), true);
-    }
-
-    fn start_stored(
-        &mut self,
-        id: u64,
-        seq: u64,
-        t0: Instant,
-        indices: Vec<u32>,
-        trace: Option<TraceContext>,
-    ) {
-        let req_span = self.open_request_span(trace, "predict_by_index");
-        if let Some(s) = &req_span {
-            s.record_u64("rows", indices.len() as u64);
-        }
-        let n = self.shared.info.n_samples;
-        if let Some(&bad) = indices.iter().find(|&&i| (i as usize) >= n) {
-            let why = format!("sample index {bad} out of range (n_samples = {n})");
-            self.reject(id, seq, t0, req_span, why);
-            return;
-        }
-        // Keep the u32 identities: the audit ledger tracks distinct and
-        // repeated stored rows by exactly what the client asked for.
-        let raw = indices;
-        let indices: Vec<usize> = raw.iter().map(|&i| i as usize).collect();
-        if indices.is_empty() {
-            // Nothing to compute or defend: answer the empty round
-            // directly. It still counts as one query in the ledger,
-            // exactly as the client meters it.
-            self.audit_stored(id, &raw, 0);
-            if let Some(s) = req_span {
-                s.record_str("outcome", "ok");
-            }
-            let resp = Response::Scores {
-                scores: Matrix::zeros(0, self.shared.info.n_classes),
-                cached_rows: 0,
-            };
-            self.stage_response(id, seq, t0, &resp, false);
-            return;
-        }
-        let StoredPlan { out, hits, groups } = {
-            let cache_span = req_span.as_ref().map(|s| s.child("serve.cache"));
-            let plan = self.shared.dispatcher.plan_stored(&indices);
-            if let Some(cs) = &cache_span {
-                cs.record_u64("hit_rows", plan.hits);
-                cs.record_u64(
-                    "miss_rows",
-                    (indices.len() as u64).saturating_sub(plan.hits),
-                );
-            }
-            plan
-        };
-        if groups.is_empty() {
-            // Fully cache-served: no round, no protocol cost.
-            self.audit_stored(id, &raw, hits);
-            if let Some(s) = req_span {
-                s.record_str("outcome", "ok");
-                s.record_u64("cached_rows", hits);
-            }
-            let resp = Response::Scores {
-                scores: out,
-                cached_rows: hits as u32,
-            };
-            self.stage_response(id, seq, t0, &resp, false);
-            return;
-        }
-        let pid = self.next_pending;
-        self.next_pending += 1;
-        let remaining = groups.len();
-        if let Some(conn) = self.conns.get_mut(&id) {
-            conn.inflight += 1;
-        }
-        let dispatch_spans: Vec<Option<Span>> = groups
-            .iter()
-            .map(|(shard, group)| {
-                req_span.as_ref().map(|s| {
-                    let d = s.child("serve.dispatch");
-                    d.record_u64("shard", *shard as u64);
-                    d.record_u64("rows", group.len() as u64);
-                    d
-                })
-            })
-            .collect();
-        let audit = self.ledger.is_some().then_some(AuditKind::Stored {
-            indices: raw,
-            cached: hits,
-        });
-        self.pending.insert(
-            pid,
-            PendingRound {
-                conn: id,
-                seq,
-                t0,
-                out,
-                hits,
-                groups,
-                remaining,
-                adhoc: false,
-                failed: None,
-                req_span,
-                dispatch_spans,
-                audit,
-            },
-        );
-        let round = self.pending.get(&pid).expect("just inserted");
-        for (part, (shard, group)) in round.groups.iter().enumerate() {
-            let reply = ReplyTo::Reactor(ReactorReply::new(
-                self.completion_tx.clone(),
-                self.waker.clone(),
-                pid,
-                part,
-            ));
-            let parent = round.dispatch_spans[part].as_ref().map(|d| d.id());
-            self.shared
-                .dispatcher
-                .send_stored_part(*shard, group, reply, parent);
-        }
-    }
-
-    fn start_adhoc(
-        &mut self,
-        id: u64,
-        seq: u64,
-        t0: Instant,
-        slices: Vec<Matrix>,
-        trace: Option<TraceContext>,
-    ) {
-        let req_span = self.open_request_span(trace, "predict_features");
-        let widths = &self.shared.info.party_widths;
-        if slices.len() != widths.len() {
-            let why = format!(
-                "expected {} party feature blocks, got {}",
-                widths.len(),
-                slices.len()
-            );
-            self.reject(id, seq, t0, req_span, why);
-            return;
-        }
-        let rows = slices.first().map(|s| s.rows()).unwrap_or_default();
-        if let Some(s) = &req_span {
-            s.record_u64("rows", rows as u64);
-        }
-        let bad_block = slices
-            .iter()
-            .zip(widths)
-            .enumerate()
-            .find_map(|(p, (block, &width))| {
-                if block.cols() != width {
-                    Some(format!(
-                        "party {p} block is {} wide, expected {width}",
-                        block.cols()
-                    ))
-                } else {
-                    (block.rows() != rows).then(|| "party blocks must be row-aligned".to_string())
-                }
-            });
-        if let Some(why) = bad_block {
-            self.reject(id, seq, t0, req_span, why);
-            return;
-        }
-        if rows == 0 {
-            self.audit_features(id, 0);
-            if let Some(s) = req_span {
-                s.record_str("outcome", "ok");
-            }
-            let resp = Response::Scores {
-                scores: Matrix::zeros(0, self.shared.info.n_classes),
-                cached_rows: 0,
-            };
-            self.stage_response(id, seq, t0, &resp, false);
-            return;
-        }
-        let pid = self.next_pending;
-        self.next_pending += 1;
-        if let Some(conn) = self.conns.get_mut(&id) {
-            conn.inflight += 1;
-        }
-        let dispatch_span = req_span.as_ref().map(|s| {
-            let d = s.child("serve.dispatch");
-            d.record_u64("rows", rows as u64);
-            d
-        });
-        let parent = dispatch_span.as_ref().map(|d| d.id());
-        let audit = self
-            .ledger
-            .is_some()
-            .then_some(AuditKind::Features { rows: rows as u64 });
-        self.pending.insert(
-            pid,
-            PendingRound {
-                conn: id,
-                seq,
-                t0,
-                out: Matrix::zeros(0, 0),
-                hits: 0,
-                groups: Vec::new(),
-                remaining: 1,
-                adhoc: true,
-                failed: None,
-                req_span,
-                dispatch_spans: vec![dispatch_span],
-                audit,
-            },
-        );
-        let reply = ReplyTo::Reactor(ReactorReply::new(
-            self.completion_tx.clone(),
-            self.waker.clone(),
-            pid,
-            0,
-        ));
-        self.shared
-            .dispatcher
-            .send_adhoc(slices, rows, reply, parent);
     }
 
     // -----------------------------------------------------------------
-    // Completions.
+    // The handler's side.
 
-    fn on_completion(&mut self, c: Completion) {
-        let finished = {
-            let Some(p) = self.pending.get_mut(&c.pending_id) else {
-                return; // request's connection is long gone
-            };
-            p.remaining -= 1;
-            // This part's dispatch span ends now, success or not.
-            if let Some(slot) = p.dispatch_spans.get_mut(c.part) {
-                drop(slot.take());
-            }
-            match c.result {
-                Ok(part) => {
-                    if p.adhoc {
-                        p.out = part;
-                    } else {
-                        let group = &p.groups[c.part].1;
-                        self.shared
-                            .dispatcher
-                            .finish_stored_part(group, &part, &mut p.out);
-                    }
-                }
-                Err(why) => {
-                    if p.failed.is_none() {
-                        p.failed = Some(why);
-                    }
-                }
-            }
-            p.remaining == 0
-        };
-        if !finished {
-            return;
+    /// Answers `ticket`: its last frame. Frames of requests pipelined
+    /// behind it go out as soon as they are next in order.
+    pub fn reply(&mut self, ticket: Ticket, resp: &Response) {
+        self.stage(ticket, resp, true);
+        self.flush_and_update(ticket.conn);
+    }
+
+    /// Sends one frame of a streamed response to `ticket`; more frames
+    /// and then the [`Transport::reply`] follow. Written at the end of
+    /// the loop turn.
+    pub fn stream(&mut self, ticket: Ticket, resp: &Response) {
+        self.stage(ticket, resp, false);
+        self.dirty.push(ticket.conn);
+    }
+
+    /// Stops reading from `conn`: it closes once every request already
+    /// read is answered and flushed.
+    pub fn stop_reading(&mut self, conn: u64) {
+        if let Some(c) = self.conns.get_mut(&conn) {
+            c.read_done = true;
+            c.close_when_flushed = true;
         }
-        let mut p = self.pending.remove(&c.pending_id).expect("checked above");
-        let (resp, is_error) = match p.failed.take() {
-            Some(why) => (Response::Error(why), true),
-            None => (
-                Response::Scores {
-                    scores: std::mem::replace(&mut p.out, Matrix::zeros(0, 0)),
-                    cached_rows: p.hits as u32,
-                },
-                false,
-            ),
-        };
-        // Taking the span finishes it before the reply stages.
-        if let Some(s) = p.req_span.take() {
-            s.record_str("outcome", if is_error { "error" } else { "ok" });
-            if p.hits > 0 {
-                s.record_u64("cached_rows", p.hits);
-            }
-        }
-        let resume = {
-            let Some(conn) = self.conns.get_mut(&p.conn) else {
-                return; // connection died while the round ran
-            };
-            conn.inflight -= 1;
-            let resume = conn.paused_read && conn.inflight < PIPELINE_CAP;
-            if resume {
-                conn.paused_read = false;
-            }
-            resume
-        };
-        // Ledger accounting happens only when a `Scores` response really
-        // stages to a live connection — the exact event the client's own
-        // cost metering counts, so the two stay equal by construction.
-        if !is_error {
-            match p.audit.take() {
-                Some(AuditKind::Stored { indices, cached }) => {
-                    self.audit_stored(p.conn, &indices, cached)
-                }
-                Some(AuditKind::Features { rows }) => self.audit_features(p.conn, rows),
-                None => {}
-            }
-        }
-        self.stage_response(p.conn, p.seq, p.t0, &resp, is_error);
-        if resume {
-            // Frames buffered while the pipeline cap held are parsed now
-            // — no new readable event will announce them.
-            self.parse_frames(p.conn);
-            self.flush_and_update(p.conn);
-        }
+        self.flush_and_update(conn);
+    }
+
+    /// Whether `conn` is still connected.
+    pub fn is_open(&self, conn: u64) -> bool {
+        self.conns.contains_key(&conn)
     }
 
     // -----------------------------------------------------------------
     // Response emission and writing.
 
-    /// Encodes `resp` into `seq`'s slot and emits every response that is
-    /// now next in per-connection order.
-    fn stage_response(&mut self, id: u64, seq: u64, t0: Instant, resp: &Response, is_error: bool) {
-        let frame = encode_response(resp).unwrap_or_else(|_| {
-            encode_response(&Response::Error("response encoding failed".to_string()))
+    /// Encodes `resp` and queues it in per-connection request order.
+    fn stage(&mut self, ticket: Ticket, resp: &Response, last: bool) {
+        let Some(conn) = self.conns.get_mut(&ticket.conn) else {
+            return;
+        };
+        let frame = encode_response_frame(resp).unwrap_or_else(|_| {
+            encode_response_frame(&Response::Error("response encoding failed".to_string()))
                 .expect("error responses always encode")
         });
-        {
-            let Some(conn) = self.conns.get_mut(&id) else {
-                return;
-            };
-            conn.staged.insert(
-                seq,
-                Staged {
-                    frame,
-                    t0,
-                    error: is_error,
-                },
-            );
-            while let Some(s) = conn.staged.remove(&conn.emit_seq) {
-                conn.out
-                    .extend_from_slice(&(s.frame.len() as u32).to_le_bytes());
-                conn.out.extend_from_slice(&s.frame);
-                if !s.error {
-                    self.shared
-                        .metrics
-                        .record_request(s.t0.elapsed().as_micros() as u64);
-                }
-                conn.emit_seq += 1;
+        let error = matches!(resp, Response::Error(_));
+        if last {
+            conn.open -= 1;
+            if conn.paused_read && conn.open < PIPELINE_CAP {
+                conn.paused_read = false;
+                self.resumed.push(ticket.conn);
             }
         }
-        self.flush_and_update(id);
+        if ticket.seq != conn.emit_seq {
+            // Not its turn yet: hold the frame until earlier requests
+            // have finished.
+            let slot = conn.staged.entry(ticket.seq).or_insert_with(|| Staged {
+                bytes: Vec::new(),
+                t0: ticket.t0,
+                done: false,
+                error: false,
+            });
+            append(&mut slot.bytes, frame);
+            slot.done = last;
+            slot.error = error;
+            return;
+        }
+        append(&mut conn.out, frame);
+        let mut finished = last.then_some((ticket.t0, error));
+        while let Some((t0, error)) = finished {
+            if !error {
+                self.metrics.record_request(t0.elapsed().as_micros() as u64);
+            }
+            conn.emit_seq += 1;
+            // The next request's frames, if any, are now next in order;
+            // if it is still streaming, its later frames go straight out.
+            let Some(slot) = conn.staged.remove(&conn.emit_seq) else {
+                break;
+            };
+            append(&mut conn.out, slot.bytes);
+            finished = slot.done.then_some((slot.t0, slot.error));
+        }
     }
 
     /// Greedily writes buffered output, then reconciles poller interest
@@ -1052,9 +706,9 @@ impl Reactor {
     fn remove_conn(&mut self, id: u64) {
         if let Some(conn) = self.conns.remove(&id) {
             let _ = self.poller.deregister(fd_of(&conn.stream));
-            self.shared
-                .metrics
+            self.metrics
                 .record_connection_closed(self.conns.len() as u64);
+            self.closed.push(id);
         }
     }
 
@@ -1062,7 +716,7 @@ impl Reactor {
     // Shutdown.
 
     /// Enters drain mode (idempotent): close the listener now, stop
-    /// reading everywhere, let queued rounds finish and flush.
+    /// reading everywhere, let unanswered requests finish and flush.
     fn begin_drain(&mut self) {
         if self.draining.is_some() {
             return;

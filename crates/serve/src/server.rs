@@ -4,10 +4,11 @@
 //!
 //! * a single *reactor* thread ([`crate::reactor`]) owns the listener
 //!   and every client socket: nonblocking accept, incremental frame
-//!   assembly, request validation, and in-order response writes all run
-//!   on readiness events from the [`crate::sys`] poller (`epoll`, or
-//!   `poll` under `FIA_FORCE_POLL=1`) — thousands of connections on one
-//!   thread;
+//!   assembly, and in-order response writes all run on readiness events
+//!   from the [`crate::sys`] poller (`epoll`, or `poll` under
+//!   `FIA_FORCE_POLL=1`) — thousands of connections on one thread. Its
+//!   handler (`crate::predict`) validates each request, answers cache
+//!   hits and dispatches the rest;
 //! * a [`ReplicaPool`] of N *batcher* threads, each owning a cheap
 //!   replica of the deployment: stored-index traffic is routed by shard
 //!   of the stored prediction set, ad-hoc feature traffic by least
@@ -35,9 +36,9 @@ use crate::cache::ScoreCache;
 use crate::coalesce::Coalescer;
 use crate::dispatch::{Dispatcher, ShardMap};
 use crate::metrics::{MetricsReport, ServerMetrics};
-use crate::pool::ReplicaPool;
-use crate::reactor::Reactor;
-use crate::sys::Waker;
+use crate::pool::{Completion, ReplicaPool};
+use crate::predict::Predict;
+use crate::reactor::{Notifier, Transport};
 use crate::wire::ServerInfo;
 use fia_defense::DefensePipeline;
 use fia_models::PredictProba;
@@ -155,7 +156,6 @@ impl PredictionServer {
         M: PredictProba + Send + Sync + 'static,
     {
         let listener = TcpListener::bind(&config.bind)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
         let partition = system.partition();
@@ -201,17 +201,19 @@ impl PredictionServer {
             audit: config.audit,
         });
 
-        let (reactor, waker) = Reactor::new(listener, shared)?;
+        let transport = Transport::new(listener, Arc::clone(&metrics), Arc::clone(&stop))?;
+        let notify = transport.notifier();
+        let handler = Predict::new(shared, transport.notifier());
         let reactor = std::thread::Builder::new()
             .name("fia-serve-reactor".to_string())
-            .spawn(move || reactor.run())?;
+            .spawn(move || transport.run(handler))?;
 
         Ok(ServerHandle {
             addr,
             stop,
             metrics,
             tracer,
-            waker,
+            notify,
             reactor: Some(reactor),
             batchers,
         })
@@ -225,7 +227,7 @@ pub struct ServerHandle {
     stop: Arc<AtomicBool>,
     metrics: Arc<ServerMetrics>,
     tracer: Tracer,
-    waker: Waker,
+    notify: Notifier<Completion>,
     reactor: Option<JoinHandle<()>>,
     batchers: Vec<JoinHandle<()>>,
 }
@@ -273,7 +275,7 @@ impl ServerHandle {
         // The reactor may be parked in poller.wait with no traffic due
         // for a whole tick: the waker makes shutdown prompt, not
         // tick-quantized.
-        self.waker.wake();
+        self.notify.wake();
         if let Some(h) = self.reactor.take() {
             let _ = h.join();
         }

@@ -694,6 +694,23 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
 /// Serializes a response into a frame payload (no length prefix).
 pub fn encode_response(resp: &Response) -> Result<Vec<u8>, WireError> {
     let mut w = Writer::new();
+    put_response(&mut w, resp)?;
+    Ok(w.finish())
+}
+
+/// Serializes a response into a whole frame: the `u32` length prefix
+/// then the payload, in one buffer a server can queue as is.
+pub(crate) fn encode_response_frame(resp: &Response) -> Result<Vec<u8>, WireError> {
+    let mut w = Writer::new();
+    w.u32(0);
+    put_response(&mut w, resp)?;
+    let mut frame = w.finish();
+    let len = (frame.len() - 4) as u32;
+    frame[..4].copy_from_slice(&len.to_le_bytes());
+    Ok(frame)
+}
+
+fn put_response(w: &mut Writer, resp: &Response) -> Result<(), WireError> {
     match resp {
         Response::Pong => w.u8(resp_tag::PONG),
         Response::Scores {
@@ -702,7 +719,7 @@ pub fn encode_response(resp: &Response) -> Result<Vec<u8>, WireError> {
         } => {
             w.u8(resp_tag::SCORES);
             w.u32(*cached_rows);
-            put_matrix(&mut w, scores)?;
+            put_matrix(w, scores)?;
         }
         Response::Info(info) => {
             w.u8(resp_tag::INFO);
@@ -732,15 +749,15 @@ pub fn encode_response(resp: &Response) -> Result<Vec<u8>, WireError> {
         Response::ShuttingDown => w.u8(resp_tag::SHUTTING_DOWN),
         Response::MetricsText(text) => {
             w.u8(resp_tag::METRICS_TEXT);
-            put_text(&mut w, text);
+            put_text(w, text);
         }
         Response::TraceJsonl(text) => {
             w.u8(resp_tag::TRACE_JSONL);
-            put_text(&mut w, text);
+            put_text(w, text);
         }
         Response::Audit(audit) => {
             w.u8(resp_tag::AUDIT);
-            put_audit(&mut w, audit)?;
+            put_audit(w, audit)?;
         }
         Response::SessionAck => w.u8(resp_tag::SESSION_ACK),
         Response::JobAccepted(id) => {
@@ -749,20 +766,20 @@ pub fn encode_response(resp: &Response) -> Result<Vec<u8>, WireError> {
         }
         Response::JobInfo(info) => {
             w.u8(resp_tag::JOB_INFO);
-            put_job_info(&mut w, info)?;
+            put_job_info(w, info)?;
         }
         Response::JobTable(rows) => {
             w.u8(resp_tag::JOB_TABLE);
             w.u32(rows.len() as u32);
             for info in rows {
-                put_job_info(&mut w, info)?;
+                put_job_info(w, info)?;
             }
         }
         Response::JobEvent { id, seq, json } => {
             w.u8(resp_tag::JOB_EVENT);
             w.u64(*id);
             w.u64(*seq);
-            put_bytes(&mut w, json.as_bytes())?;
+            put_bytes(w, json.as_bytes())?;
         }
         Response::JobEventsEnd { id, next_seq } => {
             w.u8(resp_tag::JOB_EVENTS_END);
@@ -771,14 +788,14 @@ pub fn encode_response(resp: &Response) -> Result<Vec<u8>, WireError> {
         }
         Response::JobReportBlob(blob) => {
             w.u8(resp_tag::JOB_REPORT_BLOB);
-            put_bytes(&mut w, blob)?;
+            put_bytes(w, blob)?;
         }
         Response::Error(msg) => {
             w.u8(resp_tag::ERROR);
-            put_text(&mut w, msg);
+            put_text(w, msg);
         }
     }
-    Ok(w.finish())
+    Ok(())
 }
 
 /// Parses a frame payload into a response, rejecting trailing bytes.
@@ -1149,6 +1166,11 @@ mod tests {
             let payload = encode_response(&resp).unwrap();
             let back = decode_response(&payload).unwrap();
             assert_eq!(resp, back, "case {case}");
+            // The server's framed encoding is the length prefix plus
+            // the same payload, byte for byte.
+            let mut framed = Vec::new();
+            write_frame(&mut framed, &payload).unwrap();
+            assert_eq!(encode_response_frame(&resp).unwrap(), framed, "case {case}");
         }
     }
 

@@ -14,12 +14,12 @@
 
 use crate::experiments::common;
 use crate::profiles::ExperimentConfig;
-use crate::scenario::Scenario;
+use fia_campaign::ScenarioData;
 use fia_core::{metrics, EqualitySolvingAttack};
 use fia_data::PaperDataset;
 use fia_defense::NoiseDefense;
 use fia_linalg::{cholesky, Matrix};
-use fia_models::{distill_forest_with_pool, DistillConfig};
+use fia_models::{distill_forest_with_pool, DistillConfig, PredictProba};
 
 /// Result of the pinv-vs-ridge ESA comparison.
 #[derive(Debug, Clone)]
@@ -39,11 +39,11 @@ pub fn run_pinv_vs_ridge(cfg: &ExperimentConfig, ridge_lambda: f64) -> Vec<PinvR
         .map(|&fraction| {
             let seed = cfg.seed_for(&format!("ablation-pinv/{fraction}"), 0);
             let scenario =
-                Scenario::build(PaperDataset::CreditCard, cfg.scale, fraction, None, seed);
+                common::scenario(PaperDataset::CreditCard, cfg.scale, fraction, None, seed);
             let model = common::train_lr(&scenario, cfg, seed ^ 0xA1);
             let attack =
                 EqualitySolvingAttack::new(&model, &scenario.adv_indices, &scenario.target_indices);
-            let conf = scenario.confidences(&model);
+            let conf = model.predict_proba(&scenario.prediction.features);
             let pinv_est = common::run_attack(&attack, &scenario.x_adv, &conf);
             let ridge_est = ridge_solve_batch(&attack, &scenario, &conf, ridge_lambda);
             PinvRow {
@@ -60,7 +60,7 @@ pub fn run_pinv_vs_ridge(cfg: &ExperimentConfig, ridge_lambda: f64) -> Vec<PinvR
 /// [`EqualitySolvingAttack::theta_target`]/[`EqualitySolvingAttack::rhs`].
 fn ridge_solve_batch(
     attack: &EqualitySolvingAttack<'_>,
-    scenario: &Scenario,
+    scenario: &ScenarioData,
     confidences: &Matrix,
     lambda: f64,
 ) -> Matrix {
@@ -100,9 +100,9 @@ pub struct DistillRow {
 /// Sweeps surrogate sizes on Credit card at `d_target = 30%`.
 pub fn run_distill_sweep(cfg: &ExperimentConfig) -> Vec<DistillRow> {
     let seed = cfg.seed_for("ablation-distill", 0);
-    let scenario = Scenario::build(PaperDataset::CreditCard, cfg.scale, 0.3, None, seed);
+    let scenario = common::scenario(PaperDataset::CreditCard, cfg.scale, 0.3, None, seed);
     let forest = common::train_forest(&scenario, cfg, seed ^ 0xB1);
-    let confidences = scenario.confidences(&forest);
+    let confidences = forest.predict_proba(&scenario.prediction.features);
     let sizes: Vec<Vec<usize>> = vec![vec![32], vec![128, 64], vec![256, 64]];
     common::parallel_map(sizes, |hidden| {
         let distill_cfg = DistillConfig {
@@ -145,9 +145,9 @@ pub struct NoiseRow {
 pub fn run_noise_sweep(cfg: &ExperimentConfig) -> Vec<NoiseRow> {
     let sigmas = vec![0.0, 0.005, 0.02, 0.08];
     let seed = cfg.seed_for("ablation-noise", 0);
-    let scenario = Scenario::build(PaperDataset::DriveDiagnosis, cfg.scale, 0.2, None, seed);
+    let scenario = common::scenario(PaperDataset::DriveDiagnosis, cfg.scale, 0.2, None, seed);
     let model = common::train_lr(&scenario, cfg, seed ^ 0xC1);
-    let clean_conf = scenario.confidences(&model);
+    let clean_conf = model.predict_proba(&scenario.prediction.features);
     let esa = EqualitySolvingAttack::new(&model, &scenario.adv_indices, &scenario.target_indices);
     common::parallel_map(sigmas, |sigma| {
         let conf = if sigma > 0.0 {

@@ -1,32 +1,60 @@
 //! Helpers shared by the per-figure experiment modules.
 
 use crate::profiles::ExperimentConfig;
-use crate::scenario::Scenario;
+use fia_campaign::{PartitionSpec, ScenarioData, ScenarioSpec};
 use fia_core::{
     baseline, metrics, Attack, AttackEngine, Grna, GrnaConfig, QueryBatch, TrainedGenerator,
 };
+use fia_data::{PaperDataset, SplitSpec};
 use fia_linalg::Matrix;
 use fia_models::{
     distill_forest_with_pool, DifferentiableModel, ForestConfig, LogisticRegression, Mlp,
-    RandomForest,
+    PredictProba, RandomForest,
 };
 use std::sync::Mutex;
 
+/// The data side of one paper scenario (Section VI-A: generate, split,
+/// draw a random `d_target` feature block), materialized from the
+/// equivalent [`ScenarioSpec`]. Experiments train their own per-trial
+/// models on it.
+///
+/// * `scale` — sample-count scale vs. Table II;
+/// * `target_fraction` — the swept `d_target / d`;
+/// * `prediction_fraction` — `n / |D|` for the prediction set
+///   (`None` = the paper's default 50%);
+/// * `seed` — drives generation, splitting and the feature split.
+pub fn scenario(
+    dataset: PaperDataset,
+    scale: f64,
+    target_fraction: f64,
+    prediction_fraction: Option<f64>,
+    seed: u64,
+) -> ScenarioData {
+    let mut spec = ScenarioSpec::paper(dataset)
+        .with_scale(scale)
+        .with_partition(PartitionSpec::two_block_random(target_fraction))
+        .with_seed(seed);
+    if let Some(f) = prediction_fraction {
+        spec = spec.with_split(SplitSpec::paper_default().with_prediction_fraction(f));
+    }
+    spec.materialize()
+}
+
 /// Trains the LR model for a scenario (binary or multinomial per `c`).
-pub fn train_lr(scenario: &Scenario, cfg: &ExperimentConfig, seed: u64) -> LogisticRegression {
+pub fn train_lr(scenario: &ScenarioData, cfg: &ExperimentConfig, seed: u64) -> LogisticRegression {
     let mut lr_cfg = cfg.lr.clone();
     lr_cfg.seed = seed;
     LogisticRegression::fit(&scenario.train, &lr_cfg)
 }
 
 /// Trains the NN model for a scenario.
-pub fn train_mlp(scenario: &Scenario, cfg: &ExperimentConfig, seed: u64) -> Mlp {
+pub fn train_mlp(scenario: &ScenarioData, cfg: &ExperimentConfig, seed: u64) -> Mlp {
     let mlp_cfg = cfg.mlp.clone().with_seed(seed);
     Mlp::fit(&scenario.train, &mlp_cfg)
 }
 
 /// Trains the RF model for a scenario.
-pub fn train_forest(scenario: &Scenario, cfg: &ExperimentConfig, seed: u64) -> RandomForest {
+pub fn train_forest(scenario: &ScenarioData, cfg: &ExperimentConfig, seed: u64) -> RandomForest {
     let forest_cfg = ForestConfig {
         seed,
         ..cfg.forest.clone()
@@ -47,7 +75,7 @@ pub fn run_attack(attack: &dyn Attack, x_adv: &Matrix, confidences: &Matrix) -> 
 /// generator on the scenario's accumulated predictions and returns the
 /// inferred target features for the whole prediction set.
 pub fn run_grna<M: DifferentiableModel>(
-    scenario: &Scenario,
+    scenario: &ScenarioData,
     model: &M,
     grna_cfg: GrnaConfig,
     confidences: &Matrix,
@@ -70,7 +98,7 @@ pub fn run_grna<M: DifferentiableModel>(
 /// threat model already grants it — which keeps the surrogate faithful in
 /// the region the attack actually probes.
 pub fn run_grna_on_forest(
-    scenario: &Scenario,
+    scenario: &ScenarioData,
     forest: &RandomForest,
     cfg: &ExperimentConfig,
     seed: u64,
@@ -80,7 +108,7 @@ pub fn run_grna_on_forest(
     let surrogate = distill_forest_with_pool(forest, &distill_cfg, scenario.x_adv.as_slice());
     // The observed confidences come from the *real* forest — the
     // surrogate only provides the differentiable path.
-    let confidences = scenario.confidences(forest);
+    let confidences = forest.predict_proba(&scenario.prediction.features);
     let (_, inferred) = run_grna(
         scenario,
         &surrogate,
@@ -91,7 +119,7 @@ pub fn run_grna_on_forest(
 }
 
 /// Both random-guess baselines' MSE against the scenario truth.
-pub fn random_guess_mse(scenario: &Scenario, seed: u64) -> (f64, f64) {
+pub fn random_guess_mse(scenario: &ScenarioData, seed: u64) -> (f64, f64) {
     let n = scenario.truth.rows();
     let d = scenario.truth.cols();
     let uniform = baseline::random_guess_uniform(n, d, seed);
@@ -145,7 +173,6 @@ pub fn parallel_map<T: Send, R: Send>(inputs: Vec<T>, f: impl Fn(T) -> R + Sync)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fia_data::PaperDataset;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
@@ -190,10 +217,20 @@ mod tests {
     #[test]
     fn lr_training_pipeline_runs() {
         let cfg = ExperimentConfig::smoke();
-        let s = Scenario::build(PaperDataset::CreditCard, cfg.scale, 0.3, None, 1);
+        let s = scenario(PaperDataset::CreditCard, cfg.scale, 0.3, None, 1);
         let model = train_lr(&s, &cfg, 2);
-        let conf = s.confidences(&model);
+        let conf = model.predict_proba(&s.prediction.features);
         assert_eq!(conf.rows(), s.n_predictions());
         assert_eq!(conf.cols(), 2);
+    }
+
+    #[test]
+    fn scenario_target_and_prediction_fractions_apply() {
+        let s = scenario(PaperDataset::CreditCard, 0.01, 0.3, None, 7);
+        assert_eq!(s.d_target(), 7); // 30% of 23 ≈ 7
+        assert_eq!(s.x_adv.cols(), 16);
+        let small = scenario(PaperDataset::Synthetic1, 0.005, 0.3, Some(0.1), 5);
+        let large = scenario(PaperDataset::Synthetic1, 0.005, 0.3, Some(0.5), 5);
+        assert!(large.n_predictions() > 3 * small.n_predictions());
     }
 }

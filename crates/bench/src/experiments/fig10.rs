@@ -8,10 +8,11 @@
 
 use crate::experiments::common;
 use crate::profiles::ExperimentConfig;
-use crate::scenario::Scenario;
+use fia_campaign::ScenarioData;
 use fia_core::{correlation_report, metrics};
 use fia_data::PaperDataset;
 use fia_linalg::vecops::pearson;
+use fia_models::PredictProba;
 
 /// One target feature's row in a Fig. 10 panel.
 #[derive(Debug, Clone)]
@@ -63,7 +64,7 @@ pub fn panel_lr(cfg: &ExperimentConfig) -> Vec<Fig10Row> {
     // The feature split stays fixed across repetitions (the panel is
     // *about* specific features); only training/attack seeds vary.
     let split_seed = cfg.seed_for("fig10/lr", 0);
-    let scenario = Scenario::build(
+    let scenario = common::scenario(
         PaperDataset::BankMarketing,
         cfg.scale,
         0.4,
@@ -74,7 +75,7 @@ pub fn panel_lr(cfg: &ExperimentConfig) -> Vec<Fig10Row> {
     for rep in 0..PANEL_REPS {
         let seed = cfg.seed_for("fig10/lr", rep) ^ 0x71;
         let model = common::train_lr(&scenario, cfg, seed);
-        let conf = scenario.confidences(&model);
+        let conf = model.predict_proba(&scenario.prediction.features);
         let (_, inferred) =
             common::run_grna(&scenario, &model, cfg.grna.clone().with_seed(seed), &conf);
         accumulate_rows(
@@ -91,12 +92,12 @@ pub fn panel_lr(cfg: &ExperimentConfig) -> Vec<Fig10Row> {
 /// Panel (b): Credit card, RF model, d_target = 30%.
 pub fn panel_rf(cfg: &ExperimentConfig) -> Vec<Fig10Row> {
     let split_seed = cfg.seed_for("fig10/rf", 0);
-    let scenario = Scenario::build(PaperDataset::CreditCard, cfg.scale, 0.3, None, split_seed);
+    let scenario = common::scenario(PaperDataset::CreditCard, cfg.scale, 0.3, None, split_seed);
     let mut rows: Option<Vec<Fig10Row>> = None;
     for rep in 0..PANEL_REPS {
         let seed = cfg.seed_for("fig10/rf", rep) ^ 0x72;
         let forest = common::train_forest(&scenario, cfg, seed);
-        let conf = scenario.confidences(&forest);
+        let conf = forest.predict_proba(&scenario.prediction.features);
         let inferred = common::run_grna_on_forest(&scenario, &forest, cfg, seed);
         accumulate_rows(&mut rows, "Credit card (RF)", &scenario, &inferred, &conf);
     }
@@ -106,7 +107,7 @@ pub fn panel_rf(cfg: &ExperimentConfig) -> Vec<Fig10Row> {
 fn accumulate_rows(
     acc: &mut Option<Vec<Fig10Row>>,
     panel: &'static str,
-    scenario: &Scenario,
+    scenario: &ScenarioData,
     inferred: &fia_linalg::Matrix,
     confidences: &fia_linalg::Matrix,
 ) {
@@ -137,7 +138,7 @@ fn finish_rows(acc: Option<Vec<Fig10Row>>) -> Vec<Fig10Row> {
 
 fn build_rows(
     panel: &'static str,
-    scenario: &Scenario,
+    scenario: &ScenarioData,
     inferred: &fia_linalg::Matrix,
     confidences: &fia_linalg::Matrix,
 ) -> Vec<Fig10Row> {

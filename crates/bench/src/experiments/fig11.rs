@@ -9,10 +9,10 @@
 
 use crate::experiments::common;
 use crate::profiles::ExperimentConfig;
-use crate::scenario::Scenario;
 use fia_core::{metrics, EqualitySolvingAttack};
 use fia_data::PaperDataset;
 use fia_defense::{dropout_defended_mlp, RoundingDefense};
+use fia_models::PredictProba;
 
 /// Rounding policy labels used in the figure legends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,11 +86,11 @@ pub fn run_rounding_esa(cfg: &ExperimentConfig) -> Vec<RoundingRow> {
                 &format!("fig11ab/{}/{}/{fraction}", dataset.name(), rounding.label()),
                 t,
             );
-            let scenario = Scenario::build(dataset, cfg.scale, fraction, None, seed);
+            let scenario = common::scenario(dataset, cfg.scale, fraction, None, seed);
             let model = common::train_lr(&scenario, cfg, seed ^ 0x81);
             let attack =
                 EqualitySolvingAttack::new(&model, &scenario.adv_indices, &scenario.target_indices);
-            let conf = rounding.apply(&scenario.confidences(&model));
+            let conf = rounding.apply(&model.predict_proba(&scenario.prediction.features));
             let inferred = common::run_attack(&attack, &scenario.x_adv, &conf);
             // Clamp wild estimates into the known value range before
             // scoring, as any real adversary would.
@@ -129,9 +129,9 @@ pub fn run_rounding_grna(cfg: &ExperimentConfig) -> Vec<RoundingRow> {
                 &format!("fig11cd/{}/{}/{fraction}", dataset.name(), rounding.label()),
                 t,
             );
-            let scenario = Scenario::build(dataset, cfg.scale, fraction, None, seed);
+            let scenario = common::scenario(dataset, cfg.scale, fraction, None, seed);
             let model = common::train_lr(&scenario, cfg, seed ^ 0x83);
-            let conf = rounding.apply(&scenario.confidences(&model));
+            let conf = rounding.apply(&model.predict_proba(&scenario.prediction.features));
             let (_, inferred) =
                 common::run_grna(&scenario, &model, cfg.grna.clone().with_seed(seed), &conf);
             mse_sum += metrics::mse_per_feature(&inferred, &scenario.truth);
@@ -183,14 +183,14 @@ pub fn run_dropout(cfg: &ExperimentConfig) -> Vec<DropoutRow> {
                 &format!("fig11ef/{}/{dropout}/{fraction}", dataset.name()),
                 t,
             );
-            let scenario = Scenario::build(dataset, cfg.scale, fraction, None, seed);
+            let scenario = common::scenario(dataset, cfg.scale, fraction, None, seed);
             let model = if dropout {
                 let base = cfg.mlp.clone().with_seed(seed ^ 0x85);
                 dropout_defended_mlp(&scenario.train, &base, 0.5)
             } else {
                 common::train_mlp(&scenario, cfg, seed ^ 0x85)
             };
-            let conf = scenario.confidences(&model);
+            let conf = model.predict_proba(&scenario.prediction.features);
             let (_, inferred) =
                 common::run_grna(&scenario, &model, cfg.grna.clone().with_seed(seed), &conf);
             mse_sum += metrics::mse_per_feature(&inferred, &scenario.truth);

@@ -7,9 +7,9 @@
 
 use crate::experiments::common;
 use crate::profiles::ExperimentConfig;
-use crate::scenario::Scenario;
 use fia_core::{metrics, EqualitySolvingAttack};
 use fia_data::PaperDataset;
+use fia_models::PredictProba;
 
 /// One measured point of Fig. 5.
 #[derive(Debug, Clone)]
@@ -54,11 +54,11 @@ pub fn measure_point(cfg: &ExperimentConfig, dataset: PaperDataset, fraction: f6
     let mut exact = false;
     for t in 0..trials {
         let seed = cfg.seed_for(&format!("fig5/{}/{fraction}", dataset.name()), t);
-        let scenario = Scenario::build(dataset, cfg.scale, fraction, None, seed);
+        let scenario = common::scenario(dataset, cfg.scale, fraction, None, seed);
         let model = common::train_lr(&scenario, cfg, seed ^ 0x11);
         let attack =
             EqualitySolvingAttack::new(&model, &scenario.adv_indices, &scenario.target_indices);
-        let confidences = scenario.confidences(&model);
+        let confidences = model.predict_proba(&scenario.prediction.features);
         let inferred = common::run_attack(&attack, &scenario.x_adv, &confidences);
         esa_sum += metrics::mse_per_feature(&inferred, &scenario.truth);
         let (u, g) = common::random_guess_mse(&scenario, seed ^ 0x22);
@@ -155,7 +155,7 @@ mod tests {
         let mut cfg = ExperimentConfig::smoke();
         cfg.dtarget_grid = vec![0.2];
         let seed = cfg.seed_for("fig5/Drive diagnosis/0.2", 0);
-        let scenario = Scenario::build(PaperDataset::DriveDiagnosis, cfg.scale, 0.2, None, seed);
+        let scenario = common::scenario(PaperDataset::DriveDiagnosis, cfg.scale, 0.2, None, seed);
         assert_eq!(scenario.d_target(), 10);
         let row = measure_point(&cfg, PaperDataset::DriveDiagnosis, 0.2);
         assert!(row.exact);

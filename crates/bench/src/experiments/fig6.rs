@@ -2,7 +2,6 @@
 
 use crate::experiments::common;
 use crate::profiles::ExperimentConfig;
-use crate::scenario::Scenario;
 use fia_core::{baseline, metrics::CbrTally, PathRestrictionAttack};
 use fia_data::PaperDataset;
 use fia_models::DecisionTree;
@@ -49,7 +48,7 @@ fn measure_point(cfg: &ExperimentConfig, dataset: PaperDataset, fraction: f64) -
     let mut rg_mse_sum = 0.0;
     for t in 0..trials {
         let seed = cfg.seed_for(&format!("fig6/{}/{fraction}", dataset.name()), t);
-        let scenario = Scenario::build(dataset, cfg.scale, fraction, None, seed);
+        let scenario = common::scenario(dataset, cfg.scale, fraction, None, seed);
         let mut tree_rng = StdRng::seed_from_u64(seed ^ 0x77);
         let tree = DecisionTree::fit(&scenario.train, &cfg.tree, &mut tree_rng);
         let attack =

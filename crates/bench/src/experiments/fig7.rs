@@ -3,9 +3,10 @@
 
 use crate::experiments::common;
 use crate::profiles::ExperimentConfig;
-use crate::scenario::Scenario;
+use fia_campaign::ScenarioData;
 use fia_core::metrics;
 use fia_data::PaperDataset;
+use fia_models::PredictProba;
 
 /// Which vertical FL model family GRNA attacks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,7 +92,7 @@ pub fn measure_point(
             &format!("fig7/{}/{}/{fraction}", dataset.name(), model.label()),
             t,
         );
-        let scenario = Scenario::build(dataset, cfg.scale, fraction, None, seed);
+        let scenario = common::scenario(dataset, cfg.scale, fraction, None, seed);
         let inferred = infer_with(&scenario, cfg, model, seed);
         grna_sum += metrics::mse_per_feature(&inferred, &scenario.truth);
         let (u, g) = common::random_guess_mse(&scenario, seed ^ 0x33);
@@ -112,7 +113,7 @@ pub fn measure_point(
 /// Trains the requested target model and runs GRNA, returning inferred
 /// target features for the scenario's prediction set.
 pub fn infer_with(
-    scenario: &Scenario,
+    scenario: &ScenarioData,
     cfg: &ExperimentConfig,
     model: TargetModel,
     seed: u64,
@@ -120,12 +121,12 @@ pub fn infer_with(
     match model {
         TargetModel::Lr => {
             let lr = common::train_lr(scenario, cfg, seed ^ 0x41);
-            let conf = scenario.confidences(&lr);
+            let conf = lr.predict_proba(&scenario.prediction.features);
             common::run_grna(scenario, &lr, cfg.grna.clone().with_seed(seed), &conf).1
         }
         TargetModel::Nn => {
             let nn = common::train_mlp(scenario, cfg, seed ^ 0x42);
-            let conf = scenario.confidences(&nn);
+            let conf = nn.predict_proba(&scenario.prediction.features);
             common::run_grna(scenario, &nn, cfg.grna.clone().with_seed(seed), &conf).1
         }
         TargetModel::Rf => {
@@ -186,7 +187,7 @@ mod tests {
     fn rf_pathway_produces_estimates() {
         let cfg = ExperimentConfig::smoke();
         let seed = 3;
-        let scenario = Scenario::build(PaperDataset::CreditCard, cfg.scale, 0.3, None, seed);
+        let scenario = common::scenario(PaperDataset::CreditCard, cfg.scale, 0.3, None, seed);
         let inferred = infer_with(&scenario, &cfg, TargetModel::Rf, seed);
         assert_eq!(inferred.rows(), scenario.n_predictions());
         assert_eq!(inferred.cols(), scenario.d_target());

@@ -8,7 +8,7 @@
 
 use crate::experiments::common;
 use crate::profiles::ExperimentConfig;
-use crate::scenario::Scenario;
+use fia_campaign::ScenarioData;
 use fia_core::baseline::{self, branch_tally_along_path};
 use fia_core::metrics::CbrTally;
 use fia_data::PaperDataset;
@@ -46,7 +46,7 @@ pub fn measure_point(cfg: &ExperimentConfig, dataset: PaperDataset, fraction: f6
     let mut rg = CbrTally::default();
     for t in 0..trials {
         let seed = cfg.seed_for(&format!("fig8/{}/{fraction}", dataset.name()), t);
-        let scenario = Scenario::build(dataset, cfg.scale, fraction, None, seed);
+        let scenario = common::scenario(dataset, cfg.scale, fraction, None, seed);
         let forest = common::train_forest(&scenario, cfg, seed ^ 0x51);
         let inferred = common::run_grna_on_forest(&scenario, &forest, cfg, seed);
         grna.merge(forest_branch_consistency(&forest, &scenario, &inferred));
@@ -65,10 +65,10 @@ pub fn measure_point(cfg: &ExperimentConfig, dataset: PaperDataset, fraction: f6
 /// tree of the forest, along the ground-truth decision paths.
 pub fn forest_branch_consistency(
     forest: &RandomForest,
-    scenario: &Scenario,
+    scenario: &ScenarioData,
     inferred: &Matrix,
 ) -> CbrTally {
-    let full_inferred = scenario.assemble_with_inferred(inferred);
+    let full_inferred = assemble_with_inferred(scenario, inferred);
     let mut tally = CbrTally::default();
     for i in 0..scenario.n_predictions() {
         let x_true = scenario.prediction.sample(i);
@@ -84,6 +84,22 @@ pub fn forest_branch_consistency(
         }
     }
     tally
+}
+
+/// The prediction set with its target columns replaced by `inferred` —
+/// full global samples for branch-consistency evaluation on tree
+/// models. (The adversary and target blocks cover every feature, so the
+/// remaining columns are the adversary's own true values.)
+fn assemble_with_inferred(scenario: &ScenarioData, inferred: &Matrix) -> Matrix {
+    let mut full = scenario.prediction.features.clone();
+    assert_eq!(inferred.rows(), full.rows(), "row mismatch");
+    assert_eq!(inferred.cols(), scenario.d_target(), "col mismatch");
+    for i in 0..full.rows() {
+        for (k, &f) in scenario.target_indices.iter().enumerate() {
+            full[(i, f)] = inferred[(i, k)];
+        }
+    }
+    full
 }
 
 /// Renders the sweep.
@@ -124,10 +140,18 @@ mod tests {
     fn perfect_inference_gives_perfect_cbr() {
         let cfg = ExperimentConfig::smoke();
         let seed = 9;
-        let scenario = Scenario::build(PaperDataset::CreditCard, cfg.scale, 0.3, None, seed);
+        let scenario = common::scenario(PaperDataset::CreditCard, cfg.scale, 0.3, None, seed);
         let forest = common::train_forest(&scenario, &cfg, seed);
         // Feed the ground truth as the "inferred" values.
         let tally = forest_branch_consistency(&forest, &scenario, &scenario.truth);
         assert_eq!(tally.rate(), Some(1.0));
+    }
+
+    #[test]
+    fn assemble_restores_global_layout() {
+        let s = common::scenario(PaperDataset::CreditCard, 0.01, 0.3, None, 7);
+        // Assembling with the ground truth reproduces the prediction set.
+        let full = assemble_with_inferred(&s, &s.truth);
+        assert!(full.max_abs_diff(&s.prediction.features).unwrap() < 1e-12);
     }
 }

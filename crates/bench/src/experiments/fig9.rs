@@ -6,9 +6,9 @@
 
 use crate::experiments::common;
 use crate::profiles::ExperimentConfig;
-use crate::scenario::Scenario;
 use fia_core::metrics;
 use fia_data::PaperDataset;
+use fia_models::PredictProba;
 
 /// The four datasets of Fig. 9, in sub-figure order.
 pub fn datasets() -> [PaperDataset; 4] {
@@ -69,9 +69,9 @@ pub fn measure_point(
             &format!("fig9/{}/{n_fraction}/{fraction}", dataset.name()),
             t,
         );
-        let scenario = Scenario::build(dataset, cfg.scale, fraction, Some(n_fraction), seed);
+        let scenario = common::scenario(dataset, cfg.scale, fraction, Some(n_fraction), seed);
         let nn = common::train_mlp(&scenario, cfg, seed ^ 0x61);
-        let conf = scenario.confidences(&nn);
+        let conf = nn.predict_proba(&scenario.prediction.features);
         let (_, inferred) =
             common::run_grna(&scenario, &nn, cfg.grna.clone().with_seed(seed), &conf);
         grna_sum += metrics::mse_per_feature(&inferred, &scenario.truth);

@@ -11,9 +11,9 @@
 
 use crate::experiments::common;
 use crate::profiles::ExperimentConfig;
-use crate::scenario::Scenario;
 use fia_core::{baseline, metrics, GrnaConfig};
 use fia_data::PaperDataset;
+use fia_models::PredictProba;
 
 /// One Table III row.
 #[derive(Debug, Clone)]
@@ -50,9 +50,9 @@ impl Table3Row {
 /// Runs the six ablation cases.
 pub fn run(cfg: &ExperimentConfig) -> Vec<Table3Row> {
     let seed = cfg.seed_for("table3", 0);
-    let scenario = Scenario::build(PaperDataset::BankMarketing, cfg.scale, 0.4, None, seed);
+    let scenario = common::scenario(PaperDataset::BankMarketing, cfg.scale, 0.4, None, seed);
     let model = common::train_lr(&scenario, cfg, seed ^ 0x91);
-    let confidences = scenario.confidences(&model);
+    let confidences = model.predict_proba(&scenario.prediction.features);
 
     let case_config = |case: usize| -> GrnaConfig {
         let mut c = cfg.grna.clone().with_seed(seed ^ (case as u64) << 8);

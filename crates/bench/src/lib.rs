@@ -19,4 +19,3 @@ pub mod experiments;
 pub mod harness;
 pub mod profiles;
 pub mod report;
-pub mod scenario;

@@ -177,10 +177,11 @@ impl CampaignEvent {
     }
 
     /// Parses one JSON object produced by [`CampaignEvent::to_json`]
-    /// back into the event — the daemon's attach/replay path, and what
-    /// makes archived `campaign_events.jsonl` artifacts
-    /// machine-checkable. Durations round-trip at microsecond
-    /// granularity (the serialized resolution).
+    /// back into the event — what makes archived `campaign_events.jsonl`
+    /// artifacts machine-checkable (the daemon's attach path streams the
+    /// stored lines verbatim and never parses them). Durations
+    /// round-trip at microsecond granularity (the serialized
+    /// resolution).
     pub fn from_json(line: &str) -> Result<CampaignEvent, EventParseError> {
         let v = json::parse(line).map_err(|e| EventParseError(e.to_string()))?;
         let req = |key: &str| {

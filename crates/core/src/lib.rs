@@ -32,8 +32,12 @@
 //! Plus the evaluation machinery: MSE-per-feature (Eqn 10), correct
 //! branching rate, the ESA error upper bound (Eqn 15), random-guess
 //! baselines, and the correlation diagnostics of Fig. 10.
+//!
+//! This crate holds the attacks and their metrics, not a driver: running
+//! attacks end to end over a scenario (data, deployed model, oracle,
+//! query budget, report) is `fia_campaign`'s `Campaign`, the one entry
+//! point for that.
 
-pub mod audit;
 pub mod baseline;
 pub mod engine;
 mod esa;
@@ -43,7 +47,6 @@ pub mod oracle;
 mod pra;
 mod telemetry;
 
-pub use audit::{AuditReport, Finding, Severity};
 pub use engine::{row_seed, Attack, AttackEngine, AttackResult, QueryBatch};
 pub use esa::EqualitySolvingAttack;
 pub use grna::{Grna, GrnaConfig, TrainedGenerator};

@@ -65,8 +65,8 @@ pub struct RemoteOracle {
     stream: TcpStream,
     info: ServerInfo,
     cost: QueryCost,
-    /// When set, prediction requests travel as their *traced* wire
-    /// variants, carrying this context so the server opens linked
+    /// When set, prediction requests travel in their *traced* wire
+    /// encoding, carrying this context so the server opens linked
     /// `serve.request` spans.
     trace: Option<TraceContext>,
 }
@@ -138,26 +138,23 @@ impl RemoteOracle {
 
     /// One prediction round over stored sample indices; returns the
     /// released `|indices| × c` confidence matrix. With a trace context
-    /// set, the request travels as its traced wire variant — byte-
-    /// identical body, plus the 16-byte context.
+    /// set, the request travels in its traced encoding — byte-identical
+    /// body, plus the 16-byte context.
     pub fn predict_batch(&mut self, indices: &[usize]) -> Result<Matrix, ClientError> {
-        let wire_indices: Vec<u32> = indices.iter().map(|&i| i as u32).collect();
-        let req = match self.trace {
-            Some(ctx) => Request::PredictByIndexTraced(wire_indices, ctx),
-            None => Request::PredictByIndex(wire_indices),
-        };
-        let resp = self.call(&req)?;
+        let resp = self.call(&Request::PredictByIndex {
+            indices: indices.iter().map(|&i| i as u32).collect(),
+            trace: self.trace,
+        })?;
         self.expect_scores(resp)
     }
 
     /// One prediction round over ad-hoc inputs: one `n × d_p` feature
     /// block per party, in party id order.
     pub fn predict_features(&mut self, slices: &[Matrix]) -> Result<Matrix, ClientError> {
-        let req = match self.trace {
-            Some(ctx) => Request::PredictFeaturesTraced(slices.to_vec(), ctx),
-            None => Request::PredictFeatures(slices.to_vec()),
-        };
-        let resp = self.call(&req)?;
+        let resp = self.call(&Request::PredictFeatures {
+            blocks: slices.to_vec(),
+            trace: self.trace,
+        })?;
         self.expect_scores(resp)
     }
 
@@ -218,13 +215,10 @@ impl RemoteOracle {
         }
     }
 
-    /// The server's live metrics snapshot.
+    /// The server's live metrics snapshot, parsed from a
+    /// [`RemoteOracle::metrics_text`] scrape.
     pub fn server_metrics(&mut self) -> Result<MetricsReport, ClientError> {
-        match self.call(&Request::Metrics)? {
-            Response::Metrics(m) => Ok(m),
-            Response::Error(why) => Err(ClientError::Rejected(why)),
-            _ => Err(ClientError::Protocol("Metrics answered with wrong variant")),
-        }
+        Ok(MetricsReport::from_exposition(&self.metrics_text()?))
     }
 
     /// Asks the server to shut down gracefully.
@@ -533,7 +527,10 @@ fn drive_open_loop(
             let indices: Vec<u32> = (0..cfg.rows_per_request)
                 .map(|r| ((k * cfg.rows_per_request + r) % n_samples) as u32)
                 .collect();
-            let payload = encode_request(&Request::PredictByIndex(indices))?;
+            let payload = encode_request(&Request::PredictByIndex {
+                indices,
+                trace: None,
+            })?;
             conn.out.clear();
             conn.out_pos = 0;
             conn.out

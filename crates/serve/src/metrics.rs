@@ -8,9 +8,9 @@
 //! holds kernel/campaign/attack instruments) as Prometheus-style text,
 //! and that is what the `MetricsText` wire op returns. Each server owns
 //! its *own* registry so parallel deployments in one process — the
-//! normal test topology — never share counters. [`ServerMetrics::report`]
-//! still folds everything into the same plain-old-data [`MetricsReport`]
-//! wire shape as before; it is now a view over the instruments.
+//! normal test topology — never share counters. [`MetricsReport`] is the
+//! plain-old-data view of that text: [`MetricsReport::from_exposition`]
+//! parses it, on either side of the wire.
 //!
 //! Latency percentiles come from a bounded *seeded reservoir sample*
 //! (Algorithm R): once the reservoir is full, the `n`-th observation
@@ -133,6 +133,8 @@ pub struct ServerMetrics {
     cache_hits: Arc<Counter>,
     cache_misses: Arc<Counter>,
     latency_us: Arc<Histogram>,
+    latency_p50: Arc<Gauge>,
+    latency_p99: Arc<Gauge>,
     uptime: Arc<Gauge>,
     connections_open: Arc<Gauge>,
     connections_total: Arc<Counter>,
@@ -203,6 +205,14 @@ impl ServerMetrics {
             latency_us: registry.histogram(
                 "fia_serve_request_duration_us",
                 "End-to-end service latency, microseconds.",
+            ),
+            latency_p50: registry.gauge(
+                "fia_serve_request_latency_p50_us",
+                "Median service latency over the reservoir sample, microseconds (set at scrape time).",
+            ),
+            latency_p99: registry.gauge(
+                "fia_serve_request_latency_p99_us",
+                "99th-percentile service latency over the reservoir sample, microseconds (set at scrape time).",
             ),
             uptime: registry.gauge(
                 "fia_serve_uptime_seconds",
@@ -305,50 +315,14 @@ impl ServerMetrics {
 
     /// Prometheus-style text exposition of this server's registry
     /// followed by the process-global one (kernel, campaign and attack
-    /// instruments) — what the `MetricsText` wire op returns.
+    /// instruments) — what the `MetricsText` wire op returns. The uptime
+    /// and latency-percentile gauges are set here, at scrape time.
     pub fn exposition(&self) -> String {
         self.uptime.set(self.started.elapsed().as_secs_f64());
+        let (p50, p99) = percentiles(&self.reservoir.lock().expect("metrics lock").samples);
+        self.latency_p50.set(p50);
+        self.latency_p99.set(p99);
         encode_prometheus(&self.registry.snapshot().merge(global().snapshot()))
-    }
-
-    /// Snapshot of everything, as plain data.
-    pub fn report(&self) -> MetricsReport {
-        let requests = self.requests.get();
-        let replica_rounds: Vec<u64> = self.replicas.iter().map(|r| r.rounds.get()).collect();
-        let replica_rows: Vec<u64> = self.replicas.iter().map(|r| r.rows.get()).collect();
-        let rounds: u64 = replica_rounds.iter().sum();
-        let rows: u64 = replica_rows.iter().sum();
-        let uptime_secs = self.started.elapsed().as_secs_f64();
-        let (p50, p99) = {
-            let res = self.reservoir.lock().expect("metrics lock");
-            percentiles(&res.samples)
-        };
-        MetricsReport {
-            requests,
-            rows,
-            rounds,
-            errors: self.errors.get(),
-            cache_hits: self.cache_hits.get(),
-            cache_misses: self.cache_misses.get(),
-            open_connections: self.connections_open.get() as u64,
-            total_connections: self.connections_total.get(),
-            accept_errors: self.accept_errors.iter().map(|c| c.get()).sum(),
-            mean_batch_fill: if rounds == 0 {
-                0.0
-            } else {
-                rows as f64 / rounds as f64
-            },
-            p50_latency_us: p50,
-            p99_latency_us: p99,
-            uptime_secs,
-            throughput_rps: if uptime_secs > 0.0 {
-                requests as f64 / uptime_secs
-            } else {
-                0.0
-            },
-            replica_rounds,
-            replica_rows,
-        }
     }
 }
 
@@ -375,9 +349,10 @@ pub(crate) fn percentiles(samples: &[u64]) -> (f64, f64) {
     (rank(0.50), rank(0.99))
 }
 
-/// A point-in-time metrics snapshot — what `Metrics` requests return and
-/// what the serve bench records.
-#[derive(Debug, Clone, PartialEq)]
+/// A point-in-time metrics snapshot, parsed from a server's text
+/// exposition — what `RemoteOracle::server_metrics` and
+/// `ServerHandle::metrics` return and what the serve bench records.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsReport {
     /// Completed requests.
     pub requests: u64,
@@ -415,9 +390,50 @@ pub struct MetricsReport {
 }
 
 impl MetricsReport {
-    /// Number of scalar `f64` slots a report occupies on the wire
-    /// (the per-replica gauges travel separately, length-prefixed).
-    pub const WIRE_VALUES: usize = 14;
+    /// Parses a server's text exposition (what the `MetricsText` wire op
+    /// returns). Series absent from the text read as 0 and series the
+    /// report does not carry are ignored; `rounds`, `rows` and
+    /// `accept_errors` sum their labelled series, and the mean fill and
+    /// throughput are derived from the parsed counters.
+    pub fn from_exposition(text: &str) -> MetricsReport {
+        let mut r = MetricsReport::default();
+        for line in text.lines().filter(|l| !l.starts_with('#')) {
+            let Some((series, value)) = line.rsplit_once(' ') else {
+                continue;
+            };
+            let Ok(v) = value.parse::<f64>() else {
+                continue;
+            };
+            let (name, labels) = series.split_once('{').unwrap_or((series, ""));
+            match name {
+                "fia_serve_requests_total" => r.requests = v as u64,
+                "fia_serve_errors_total" => r.errors = v as u64,
+                "fia_serve_cache_hit_rows_total" => r.cache_hits = v as u64,
+                "fia_serve_cache_miss_rows_total" => r.cache_misses = v as u64,
+                "fia_serve_connections_open" => r.open_connections = v as u64,
+                "fia_serve_connections_total" => r.total_connections = v as u64,
+                "fia_serve_accept_errors_total" => r.accept_errors += v as u64,
+                "fia_serve_request_latency_p50_us" => r.p50_latency_us = v,
+                "fia_serve_request_latency_p99_us" => r.p99_latency_us = v,
+                "fia_serve_uptime_seconds" => r.uptime_secs = v,
+                "fia_serve_replica_rounds_total" => set_replica(&mut r.replica_rounds, labels, v),
+                "fia_serve_replica_rows_total" => set_replica(&mut r.replica_rows, labels, v),
+                _ => {}
+            }
+        }
+        let n = r.replica_rounds.len().max(r.replica_rows.len());
+        r.replica_rounds.resize(n, 0);
+        r.replica_rows.resize(n, 0);
+        r.rounds = r.replica_rounds.iter().sum();
+        r.rows = r.replica_rows.iter().sum();
+        if r.rounds > 0 {
+            r.mean_batch_fill = r.rows as f64 / r.rounds as f64;
+        }
+        if r.uptime_secs > 0.0 {
+            r.throughput_rps = r.requests as f64 / r.uptime_secs;
+        }
+        r
+    }
 
     /// Fraction of stored-index rows answered from the cache.
     pub fn cache_hit_rate(&self) -> f64 {
@@ -443,55 +459,36 @@ impl MetricsReport {
             })
             .collect()
     }
+}
 
-    /// Flattens the scalar part of the report for the wire codec (fixed
-    /// field order).
-    pub fn as_wire_values(&self) -> [f64; Self::WIRE_VALUES] {
-        [
-            self.requests as f64,
-            self.rows as f64,
-            self.rounds as f64,
-            self.errors as f64,
-            self.cache_hits as f64,
-            self.cache_misses as f64,
-            self.open_connections as f64,
-            self.total_connections as f64,
-            self.accept_errors as f64,
-            self.mean_batch_fill,
-            self.p50_latency_us,
-            self.p99_latency_us,
-            self.uptime_secs,
-            self.throughput_rps,
-        ]
-    }
+/// Replica labels at or above this index are ignored: the text may come
+/// from a remote peer, and an index sizes the per-replica vectors.
+const MAX_REPLICAS: usize = 4096;
 
-    /// Rebuilds the scalar part of a report from its wire encoding; the
-    /// per-replica gauges start empty and are filled by the codec.
-    pub fn from_wire_values(v: &[f64; Self::WIRE_VALUES]) -> Self {
-        MetricsReport {
-            requests: v[0] as u64,
-            rows: v[1] as u64,
-            rounds: v[2] as u64,
-            errors: v[3] as u64,
-            cache_hits: v[4] as u64,
-            cache_misses: v[5] as u64,
-            open_connections: v[6] as u64,
-            total_connections: v[7] as u64,
-            accept_errors: v[8] as u64,
-            mean_batch_fill: v[9],
-            p50_latency_us: v[10],
-            p99_latency_us: v[11],
-            uptime_secs: v[12],
-            throughput_rps: v[13],
-            replica_rounds: Vec::new(),
-            replica_rows: Vec::new(),
-        }
+/// Stores a per-replica sample at its `replica="i"` label's index.
+fn set_replica(slots: &mut Vec<u64>, labels: &str, v: f64) {
+    let Some(i) = labels
+        .strip_prefix("replica=\"")
+        .and_then(|l| l.strip_suffix("\"}"))
+        .and_then(|i| i.parse::<usize>().ok())
+        .filter(|&i| i < MAX_REPLICAS)
+    else {
+        return;
+    };
+    if slots.len() <= i {
+        slots.resize(i + 1, 0);
     }
+    slots[i] = v as u64;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// What a scrape of `m` reads: the report parsed from its exposition.
+    fn report(m: &ServerMetrics) -> MetricsReport {
+        MetricsReport::from_exposition(&m.exposition())
+    }
 
     #[test]
     fn counters_accumulate_and_fill_is_mean() {
@@ -502,7 +499,7 @@ mod tests {
             m.record_request(lat);
         }
         m.record_error();
-        let r = m.report();
+        let r = report(&m);
         assert_eq!(r.requests, 4);
         assert_eq!(r.rows, 12);
         assert_eq!(r.rounds, 2);
@@ -516,7 +513,7 @@ mod tests {
 
     #[test]
     fn empty_report_is_all_zero() {
-        let r = ServerMetrics::new().report();
+        let r = report(&ServerMetrics::new());
         assert_eq!(r.requests, 0);
         assert_eq!(r.mean_batch_fill, 0.0);
         assert_eq!(r.p50_latency_us, 0.0);
@@ -564,7 +561,7 @@ mod tests {
         m.record_round(0, 10);
         m.record_round(2, 2);
         m.record_round(2, 4);
-        let r = m.report();
+        let r = report(&m);
         assert_eq!(r.replica_rounds, vec![1, 0, 2]);
         assert_eq!(r.replica_rows, vec![10, 0, 6]);
         assert_eq!(r.rounds, 3);
@@ -581,7 +578,7 @@ mod tests {
         m.record_cache(3, 1);
         m.record_cache(0, 0); // no-op
         m.record_cache(1, 3);
-        let r = m.report();
+        let r = report(&m);
         assert_eq!(r.cache_hits, 4);
         assert_eq!(r.cache_misses, 4);
         assert!((r.cache_hit_rate() - 0.5).abs() < 1e-12);
@@ -600,7 +597,7 @@ mod tests {
         drop(res);
         // A uniform sample of 0..n keeps the estimated quantiles near
         // the true stream quantiles, not near one stride phase.
-        let r = m.report();
+        let r = report(&m);
         let n = n as f64;
         assert!(
             (r.p50_latency_us - 0.5 * n).abs() < 0.02 * n,
@@ -621,7 +618,7 @@ mod tests {
             for i in 0..(LATENCY_RESERVOIR as u64 + 1000) {
                 m.record_request(i * 7 % 5000);
             }
-            m.report()
+            report(&m)
         };
         let (a, b) = (run(), run());
         assert_eq!(a.p50_latency_us, b.p50_latency_us);
@@ -650,8 +647,8 @@ mod tests {
         let a = ServerMetrics::new();
         let b = ServerMetrics::new();
         a.record_request(10);
-        assert_eq!(a.report().requests, 1);
-        assert_eq!(b.report().requests, 0);
+        assert_eq!(report(&a).requests, 1);
+        assert_eq!(report(&b).requests, 0);
         assert!(b.exposition().contains("fia_serve_requests_total 0\n"));
     }
 
@@ -661,13 +658,13 @@ mod tests {
         m.set_recording(false);
         m.record_request(123);
         m.record_error();
-        let r = m.report();
+        let r = report(&m);
         assert_eq!(r.requests, 0);
         assert_eq!(r.errors, 0);
         assert_eq!(r.p50_latency_us, 0.0);
         m.set_recording(true);
         m.record_request(123);
-        assert_eq!(m.report().requests, 1);
+        assert_eq!(report(&m).requests, 1);
     }
 
     #[test]
@@ -676,7 +673,7 @@ mod tests {
         m.record_accept_error(AcceptErrorKind::Exhausted);
         m.record_accept_error(AcceptErrorKind::Exhausted);
         m.record_accept_error(AcceptErrorKind::Aborted);
-        let r = m.report();
+        let r = report(&m);
         assert_eq!(r.accept_errors, 3);
         let text = m.exposition();
         assert!(text.contains("fia_serve_accept_errors_total{kind=\"exhausted\"} 2\n"));
@@ -692,35 +689,43 @@ mod tests {
         m.record_connection_opened(1);
         m.record_connection_opened(2);
         m.record_connection_closed(1);
-        let r = m.report();
+        let r = report(&m);
         assert_eq!(r.open_connections, 1);
         assert_eq!(r.total_connections, 2);
         m.record_connection_closed(0);
-        assert_eq!(m.report().open_connections, 0);
-        assert_eq!(m.report().total_connections, 2);
+        assert_eq!(report(&m).open_connections, 0);
+        assert_eq!(report(&m).total_connections, 2);
     }
 
     #[test]
-    fn wire_values_round_trip() {
-        let r = MetricsReport {
-            requests: 10,
-            rows: 20,
-            rounds: 5,
-            errors: 1,
-            cache_hits: 7,
-            cache_misses: 13,
-            open_connections: 3,
-            total_connections: 42,
-            accept_errors: 2,
-            mean_batch_fill: 4.0,
-            p50_latency_us: 120.0,
-            p99_latency_us: 900.0,
-            uptime_secs: 1.5,
-            throughput_rps: 6.66,
-            replica_rounds: Vec::new(),
-            replica_rows: Vec::new(),
-        };
-        let back = MetricsReport::from_wire_values(&r.as_wire_values());
-        assert_eq!(r, back);
+    fn parse_reads_absent_series_as_zero_and_ignores_unknown_ones() {
+        // An unknown series, another family's series and a replica label
+        // past the cap are all ignored.
+        let text = "# TYPE fia_serve_requests_total counter\n\
+                    fia_serve_requests_total 9\n\
+                    fia_serve_replica_rows_total{replica=\"1\"} 8\n\
+                    fia_serve_replica_rounds_total{replica=\"1\"} 2\n\
+                    fia_serve_replica_rows_total{replica=\"99999999999\"} 5\n\
+                    fia_serve_frobnications_total 5\n\
+                    fia_kernel_gemm_calls_total{kernel=\"avx2\"} 77\n";
+        let r = MetricsReport::from_exposition(text);
+        assert_eq!(r.requests, 9);
+        assert_eq!(r.replica_rows, vec![0, 8]);
+        assert_eq!(r.replica_rounds, vec![0, 2]);
+        assert_eq!((r.rows, r.rounds), (8, 2));
+        assert!((r.mean_batch_fill - 4.0).abs() < 1e-12);
+        assert_eq!(
+            MetricsReport {
+                requests: 0,
+                rows: 0,
+                rounds: 0,
+                mean_batch_fill: 0.0,
+                replica_rows: Vec::new(),
+                replica_rounds: Vec::new(),
+                ..r
+            },
+            MetricsReport::default()
+        );
+        assert_eq!(MetricsReport::from_exposition(""), MetricsReport::default());
     }
 }

@@ -423,7 +423,7 @@ mod tests {
             let scores = rx.recv().expect("reply").expect("round ok");
             assert_eq!(scores, system.predict_batch(&[replica, replica + 1]));
         }
-        let r = metrics.report();
+        let r = crate::MetricsReport::from_exposition(&metrics.exposition());
         assert_eq!(r.replica_rounds, vec![1, 1, 1]);
         assert_eq!(r.replica_rows, vec![2, 2, 2]);
         shutdown(&stop, handles);

@@ -355,7 +355,6 @@ impl Handler for Predict {
         match req {
             Request::Ping => io.reply(ticket, &Response::Pong),
             Request::Info => io.reply(ticket, &Response::Info(self.shared.info.clone())),
-            Request::Metrics => io.reply(ticket, &Response::Metrics(self.shared.metrics.report())),
             Request::MetricsText => {
                 let text = self.shared.metrics.exposition();
                 io.reply(ticket, &Response::MetricsText(text));
@@ -366,13 +365,11 @@ impl Handler for Predict {
                 self.shared.stop.store(true, Ordering::SeqCst);
                 // The drain starts on the next loop turn.
             }
-            Request::PredictByIndex(indices) => self.start_stored(io, ticket, indices, None),
-            Request::PredictFeatures(slices) => self.start_adhoc(io, ticket, slices, None),
-            Request::PredictByIndexTraced(indices, ctx) => {
-                self.start_stored(io, ticket, indices, Some(ctx))
+            Request::PredictByIndex { indices, trace } => {
+                self.start_stored(io, ticket, indices, trace)
             }
-            Request::PredictFeaturesTraced(slices, ctx) => {
-                self.start_adhoc(io, ticket, slices, Some(ctx))
+            Request::PredictFeatures { blocks, trace } => {
+                self.start_adhoc(io, ticket, blocks, trace)
             }
             Request::TraceExport => {
                 let text = self.shared.tracer.to_jsonl();

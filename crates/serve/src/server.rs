@@ -239,9 +239,10 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Snapshot of the server's live metrics.
+    /// Snapshot of the server's live metrics, parsed from the same text
+    /// [`ServerHandle::metrics_text`] returns.
     pub fn metrics(&self) -> MetricsReport {
-        self.metrics.report()
+        MetricsReport::from_exposition(&self.metrics.exposition())
     }
 
     /// Prometheus-style text exposition of this server's telemetry (the

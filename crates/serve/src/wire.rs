@@ -22,7 +22,6 @@ use fia_linalg::Matrix;
 use std::io::{Read, Write};
 
 use crate::audit::{AuditSummary, ClientAudit};
-use crate::metrics::MetricsReport;
 
 /// Hard cap on a frame payload (64 MiB). A length prefix above the cap
 /// is treated as corruption rather than an allocation request.
@@ -34,13 +33,14 @@ mod req_tag {
     pub const PREDICT_BY_INDEX: u8 = 0x02;
     pub const PREDICT_FEATURES: u8 = 0x03;
     pub const INFO: u8 = 0x04;
-    pub const METRICS: u8 = 0x05;
+    // 0x05 (the binary Metrics op) is retired and decodes as `BadTag`;
+    // `MetricsText` carries every number it did.
     pub const SHUTDOWN: u8 = 0x06;
     pub const METRICS_TEXT: u8 = 0x07;
-    // Traced prediction ops carry a 16-byte trace context *before* the
-    // legacy body. They are new tags rather than optional suffixes on
-    // 0x02/0x03 because the decoder rejects trailing bytes — the legacy
-    // encodings stay bit-identical for untraced clients.
+    // The traced encodings of 0x02/0x03 carry a 16-byte trace context
+    // *before* the untraced body. They are separate tags rather than
+    // optional suffixes because the decoder rejects trailing bytes — the
+    // untraced encodings stay bit-identical for clients without a trace.
     pub const PREDICT_BY_INDEX_TRACED: u8 = 0x08;
     pub const PREDICT_FEATURES_TRACED: u8 = 0x09;
     pub const TRACE_EXPORT: u8 = 0x0A;
@@ -61,7 +61,7 @@ mod resp_tag {
     pub const PONG: u8 = 0x81;
     pub const SCORES: u8 = 0x82;
     pub const INFO: u8 = 0x83;
-    pub const METRICS: u8 = 0x84;
+    // 0x84 (the binary Metrics reply) is retired and decodes as `BadTag`.
     pub const SHUTTING_DOWN: u8 = 0x85;
     pub const METRICS_TEXT: u8 = 0x86;
     pub const TRACE_JSONL: u8 = 0x87;
@@ -238,25 +238,30 @@ pub enum Request {
     /// Liveness probe.
     Ping,
     /// One prediction round over stored sample indices.
-    PredictByIndex(Vec<u32>),
-    /// One prediction round over ad-hoc inputs: one `n × d_p` feature
-    /// block per party, in party id order.
-    PredictFeatures(Vec<Matrix>),
+    PredictByIndex {
+        /// The stored sample indices to answer, in reply-row order.
+        indices: Vec<u32>,
+        /// A distributed-trace context: the server opens a
+        /// `serve.request` span parented to the client's span so merged
+        /// traces join across the process boundary. Travels as tag
+        /// `0x08` when set and `0x02` when not.
+        trace: Option<TraceContext>,
+    },
+    /// One prediction round over ad-hoc inputs.
+    PredictFeatures {
+        /// One `n × d_p` feature block per party, in party id order.
+        blocks: Vec<Matrix>,
+        /// As for [`Request::PredictByIndex`]; tag `0x09` when set and
+        /// `0x03` when not.
+        trace: Option<TraceContext>,
+    },
     /// Ask for the deployment's static facts.
     Info,
-    /// Ask for the server's live metrics snapshot.
-    Metrics,
     /// Ask the server to shut down gracefully.
     Shutdown,
     /// Ask for the full telemetry surface as Prometheus-style text
     /// exposition (server registry + process-global instruments).
     MetricsText,
-    /// [`Request::PredictByIndex`] carrying a distributed-trace context:
-    /// the server opens a `serve.request` span parented to the client's
-    /// span so merged traces join across the process boundary.
-    PredictByIndexTraced(Vec<u32>, TraceContext),
-    /// [`Request::PredictFeatures`] carrying a distributed-trace context.
-    PredictFeaturesTraced(Vec<Matrix>, TraceContext),
     /// Ask for the server's finished spans as JSONL — the server half of
     /// a merged cross-process trace.
     TraceExport,
@@ -307,8 +312,6 @@ pub enum Response {
     },
     /// Deployment facts.
     Info(ServerInfo),
-    /// Live metrics snapshot.
-    Metrics(MetricsReport),
     /// Acknowledgement that the server is shutting down.
     ShuttingDown,
     /// Prometheus-style text exposition of the server's telemetry.
@@ -425,11 +428,6 @@ fn get_matrix(r: &mut Reader<'_>) -> Result<Matrix, WireError> {
 }
 
 /// 16-byte trace context: trace id then parent span id, little-endian.
-fn put_trace(w: &mut Writer, ctx: &TraceContext) {
-    w.u64(ctx.trace_id);
-    w.u64(ctx.parent_span);
-}
-
 fn get_trace(r: &mut Reader<'_>) -> Result<TraceContext, WireError> {
     Ok(TraceContext {
         trace_id: r.u64()?,
@@ -561,28 +559,27 @@ pub fn encode_request(req: &Request) -> Result<Vec<u8>, WireError> {
     let mut w = Writer::new();
     match req {
         Request::Ping => w.u8(req_tag::PING),
-        Request::PredictByIndex(indices) => {
-            w.u8(req_tag::PREDICT_BY_INDEX);
+        Request::PredictByIndex { indices, trace } => {
+            put_predict_tag(
+                &mut w,
+                trace,
+                req_tag::PREDICT_BY_INDEX,
+                req_tag::PREDICT_BY_INDEX_TRACED,
+            );
             put_indices(&mut w, indices);
         }
-        Request::PredictFeatures(slices) => {
-            w.u8(req_tag::PREDICT_FEATURES);
-            put_feature_blocks(&mut w, slices)?;
+        Request::PredictFeatures { blocks, trace } => {
+            put_predict_tag(
+                &mut w,
+                trace,
+                req_tag::PREDICT_FEATURES,
+                req_tag::PREDICT_FEATURES_TRACED,
+            );
+            put_feature_blocks(&mut w, blocks)?;
         }
         Request::Info => w.u8(req_tag::INFO),
-        Request::Metrics => w.u8(req_tag::METRICS),
         Request::Shutdown => w.u8(req_tag::SHUTDOWN),
         Request::MetricsText => w.u8(req_tag::METRICS_TEXT),
-        Request::PredictByIndexTraced(indices, ctx) => {
-            w.u8(req_tag::PREDICT_BY_INDEX_TRACED);
-            put_trace(&mut w, ctx);
-            put_indices(&mut w, indices);
-        }
-        Request::PredictFeaturesTraced(slices, ctx) => {
-            w.u8(req_tag::PREDICT_FEATURES_TRACED);
-            put_trace(&mut w, ctx);
-            put_feature_blocks(&mut w, slices)?;
-        }
         Request::TraceExport => w.u8(req_tag::TRACE_EXPORT),
         Request::AuditReport => w.u8(req_tag::AUDIT_REPORT),
         Request::DeclareSession(tag) => {
@@ -615,7 +612,20 @@ pub fn encode_request(req: &Request) -> Result<Vec<u8>, WireError> {
     Ok(w.finish())
 }
 
-/// Index-list body shared by the plain and traced predict-by-index ops.
+/// A predict verb's tag: the untraced one, or the traced one followed
+/// by the 16-byte trace context (trace id then parent span id).
+fn put_predict_tag(w: &mut Writer, trace: &Option<TraceContext>, plain: u8, traced: u8) {
+    match trace {
+        None => w.u8(plain),
+        Some(ctx) => {
+            w.u8(traced);
+            w.u64(ctx.trace_id);
+            w.u64(ctx.parent_span);
+        }
+    }
+}
+
+/// Index-list body shared by both encodings of predict-by-index.
 fn put_indices(w: &mut Writer, indices: &[u32]) {
     w.u32(indices.len() as u32);
     for &i in indices {
@@ -635,8 +645,8 @@ fn get_indices(r: &mut Reader<'_>) -> Result<Vec<u32>, WireError> {
     Ok(indices)
 }
 
-/// Per-party feature-block body shared by the plain and traced
-/// predict-features ops.
+/// Per-party feature-block body shared by both encodings of
+/// predict-features.
 fn put_feature_blocks(w: &mut Writer, slices: &[Matrix]) -> Result<(), WireError> {
     w.u32(slices.len() as u32);
     slices.iter().try_for_each(|m| put_matrix(w, m))
@@ -659,20 +669,25 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
     let mut r = Reader::new(payload);
     let req = match r.u8()? {
         req_tag::PING => Request::Ping,
-        req_tag::PREDICT_BY_INDEX => Request::PredictByIndex(get_indices(&mut r)?),
-        req_tag::PREDICT_FEATURES => Request::PredictFeatures(get_feature_blocks(&mut r)?),
+        tag @ (req_tag::PREDICT_BY_INDEX | req_tag::PREDICT_BY_INDEX_TRACED) => {
+            let traced = tag == req_tag::PREDICT_BY_INDEX_TRACED;
+            let trace = traced.then(|| get_trace(&mut r)).transpose()?;
+            Request::PredictByIndex {
+                indices: get_indices(&mut r)?,
+                trace,
+            }
+        }
+        tag @ (req_tag::PREDICT_FEATURES | req_tag::PREDICT_FEATURES_TRACED) => {
+            let traced = tag == req_tag::PREDICT_FEATURES_TRACED;
+            let trace = traced.then(|| get_trace(&mut r)).transpose()?;
+            Request::PredictFeatures {
+                blocks: get_feature_blocks(&mut r)?,
+                trace,
+            }
+        }
         req_tag::INFO => Request::Info,
-        req_tag::METRICS => Request::Metrics,
         req_tag::SHUTDOWN => Request::Shutdown,
         req_tag::METRICS_TEXT => Request::MetricsText,
-        req_tag::PREDICT_BY_INDEX_TRACED => {
-            let ctx = get_trace(&mut r)?;
-            Request::PredictByIndexTraced(get_indices(&mut r)?, ctx)
-        }
-        req_tag::PREDICT_FEATURES_TRACED => {
-            let ctx = get_trace(&mut r)?;
-            Request::PredictFeaturesTraced(get_feature_blocks(&mut r)?, ctx)
-        }
         req_tag::TRACE_EXPORT => Request::TraceExport,
         req_tag::AUDIT_REPORT => Request::AuditReport,
         req_tag::DECLARE_SESSION => Request::DeclareSession(get_str(&mut r, MAX_SESSION_TAG_LEN)?),
@@ -729,21 +744,6 @@ fn put_response(w: &mut Writer, resp: &Response) -> Result<(), WireError> {
             w.u32(info.party_widths.len() as u32);
             for &width in &info.party_widths {
                 w.u32(width as u32);
-            }
-        }
-        Response::Metrics(m) => {
-            w.u8(resp_tag::METRICS);
-            for v in m.as_wire_values() {
-                w.f64(v);
-            }
-            // Per-replica gauges, length-prefixed: (rounds, rows) pairs.
-            if m.replica_rounds.len() != m.replica_rows.len() {
-                return Err(WireError::Malformed("replica gauge length mismatch"));
-            }
-            w.u32(m.replica_rounds.len() as u32);
-            for (&rounds, &rows) in m.replica_rounds.iter().zip(&m.replica_rows) {
-                w.f64(rounds as f64);
-                w.f64(rows as f64);
             }
         }
         Response::ShuttingDown => w.u8(resp_tag::SHUTTING_DOWN),
@@ -832,22 +832,6 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
                 n_classes,
                 party_widths,
             })
-        }
-        resp_tag::METRICS => {
-            let mut vals = [0.0f64; MetricsReport::WIRE_VALUES];
-            for v in vals.iter_mut() {
-                *v = r.f64()?;
-            }
-            let mut report = MetricsReport::from_wire_values(&vals);
-            let replicas = r.u32()? as usize;
-            if replicas > 4096 {
-                return Err(WireError::Malformed("implausible replica count"));
-            }
-            for _ in 0..replicas {
-                report.replica_rounds.push(r.f64()? as u64);
-                report.replica_rows.push(r.f64()? as u64);
-            }
-            Response::Metrics(report)
         }
         resp_tag::SHUTTING_DOWN => Response::ShuttingDown,
         resp_tag::METRICS_TEXT => Response::MetricsText(get_text(
@@ -979,49 +963,37 @@ mod tests {
     }
 
     fn random_request(rng: &mut StdRng, case: usize) -> Request {
-        match case % 18 {
+        match case % 17 {
             0 => Request::Ping,
-            1 => {
+            // Each predict verb untraced (1, 2) and traced (6, 7).
+            c @ (1 | 6) => {
                 // Includes the empty batch when n == 0.
                 let n = rng.gen_range(0..40usize);
-                Request::PredictByIndex((0..n).map(|_| rng.gen_range(0..10_000u32)).collect())
+                Request::PredictByIndex {
+                    indices: (0..n).map(|_| rng.gen_range(0..10_000u32)).collect(),
+                    trace: (c == 6).then(|| random_trace(rng)),
+                }
             }
-            2 => {
+            c @ (2 | 7) => {
                 let parties = rng.gen_range(1..4usize);
                 let rows = rng.gen_range(0..8usize);
-                let slices = (0..parties)
+                let blocks = (0..parties)
                     .map(|_| {
                         let cols = rng.gen_range(1..6usize);
                         random_matrix(rng, rows, cols)
                     })
                     .collect();
-                Request::PredictFeatures(slices)
+                Request::PredictFeatures {
+                    blocks,
+                    trace: (c == 7).then(|| random_trace(rng)),
+                }
             }
             3 => Request::Info,
-            4 => Request::Metrics,
-            5 => Request::MetricsText,
-            6 => Request::Shutdown,
-            7 => {
-                let n = rng.gen_range(0..40usize);
-                Request::PredictByIndexTraced(
-                    (0..n).map(|_| rng.gen_range(0..10_000u32)).collect(),
-                    random_trace(rng),
-                )
-            }
-            8 => {
-                let parties = rng.gen_range(1..4usize);
-                let rows = rng.gen_range(0..8usize);
-                let slices = (0..parties)
-                    .map(|_| {
-                        let cols = rng.gen_range(1..6usize);
-                        random_matrix(rng, rows, cols)
-                    })
-                    .collect();
-                Request::PredictFeaturesTraced(slices, random_trace(rng))
-            }
-            9 => Request::TraceExport,
-            10 => Request::AuditReport,
-            11 => {
+            4 => Request::MetricsText,
+            5 => Request::Shutdown,
+            8 => Request::TraceExport,
+            9 => Request::AuditReport,
+            10 => {
                 let n = rng.gen_range(0..32usize);
                 Request::DeclareSession(
                     (0..n)
@@ -1029,15 +1001,15 @@ mod tests {
                         .collect(),
                 )
             }
-            12 => {
+            11 => {
                 // Includes the empty blob when n == 0.
                 let n = rng.gen_range(0..256usize);
                 Request::JobSubmit((0..n).map(|_| rng.gen::<u32>() as u8).collect())
             }
-            13 => Request::JobStatus(rng.gen()),
-            14 => Request::JobList,
-            15 => Request::JobCancel(rng.gen()),
-            16 => Request::JobAttach {
+            12 => Request::JobStatus(rng.gen()),
+            13 => Request::JobList,
+            14 => Request::JobCancel(rng.gen()),
+            15 => Request::JobAttach {
                 id: rng.gen(),
                 from_seq: rng.gen_range(0..100_000u64),
             },
@@ -1072,7 +1044,7 @@ mod tests {
     }
 
     fn random_response(rng: &mut StdRng, case: usize) -> Response {
-        match case % 16 {
+        match case % 15 {
             0 => Response::Pong,
             1 => {
                 let rows = rng.gen_range(0..16usize);
@@ -1090,51 +1062,30 @@ mod tests {
                     .map(|_| rng.gen_range(1..64usize))
                     .collect(),
             }),
-            3 => {
-                let replicas = rng.gen_range(0..5usize);
-                Response::Metrics(MetricsReport {
-                    requests: rng.gen_range(0..1_000_000u64),
-                    rows: rng.gen_range(0..1_000_000u64),
-                    rounds: rng.gen_range(0..1_000_000u64),
-                    errors: rng.gen_range(0..100u64),
-                    cache_hits: rng.gen_range(0..1_000_000u64),
-                    cache_misses: rng.gen_range(0..1_000_000u64),
-                    open_connections: rng.gen_range(0..10_000u64),
-                    total_connections: rng.gen_range(0..1_000_000u64),
-                    accept_errors: rng.gen_range(0..1_000u64),
-                    mean_batch_fill: rng.gen::<f64>() * 64.0,
-                    p50_latency_us: rng.gen::<f64>() * 1e4,
-                    p99_latency_us: rng.gen::<f64>() * 1e5,
-                    uptime_secs: rng.gen::<f64>() * 1e3,
-                    throughput_rps: rng.gen::<f64>() * 1e5,
-                    replica_rounds: (0..replicas).map(|_| rng.gen_range(0..1_000u64)).collect(),
-                    replica_rows: (0..replicas).map(|_| rng.gen_range(0..10_000u64)).collect(),
-                })
-            }
-            4 => Response::ShuttingDown,
-            5 => Response::MetricsText(
+            3 => Response::ShuttingDown,
+            4 => Response::MetricsText(
                 "# TYPE fia_serve_requests_total counter\nfia_serve_requests_total 7\n"
                     .repeat(rng.gen_range(0..4usize)),
             ),
-            6 => Response::Error("sample index 99 out of range (n_samples = 10)".to_string()),
-            7 => Response::TraceJsonl(
+            5 => Response::Error("sample index 99 out of range (n_samples = 10)".to_string()),
+            6 => Response::TraceJsonl(
                 "{\"id\":4294967296,\"parent\":7,\"name\":\"serve.request\"}\n"
                     .repeat(rng.gen_range(0..4usize)),
             ),
-            8 => Response::Audit(random_audit(rng)),
-            9 => Response::SessionAck,
-            10 => Response::JobAccepted(rng.gen()),
-            11 => Response::JobInfo(random_job_info(rng)),
-            12 => {
+            7 => Response::Audit(random_audit(rng)),
+            8 => Response::SessionAck,
+            9 => Response::JobAccepted(rng.gen()),
+            10 => Response::JobInfo(random_job_info(rng)),
+            11 => {
                 let n = rng.gen_range(0..6usize);
                 Response::JobTable((0..n).map(|_| random_job_info(rng)).collect())
             }
-            13 => Response::JobEvent {
+            12 => Response::JobEvent {
                 id: rng.gen(),
                 seq: rng.gen_range(0..100_000u64),
                 json: "{\"event\":\"chunk-done\",\"chunk\":3}".to_string(),
             },
-            14 => Response::JobEventsEnd {
+            13 => Response::JobEventsEnd {
                 id: rng.gen(),
                 next_seq: rng.gen_range(0..100_000u64),
             },
@@ -1215,7 +1166,10 @@ mod tests {
             Err(WireError::NonFinite)
         ));
         assert!(matches!(
-            encode_request(&Request::PredictFeatures(vec![bad])),
+            encode_request(&Request::PredictFeatures {
+                blocks: vec![bad],
+                trace: None
+            }),
             Err(WireError::NonFinite)
         ));
         // Decoder-side: craft a frame with an infinity in the score block.
@@ -1239,10 +1193,10 @@ mod tests {
     #[test]
     fn truncated_payload_errors_at_every_cut() {
         let mut rng = StdRng::seed_from_u64(7);
-        let req = Request::PredictFeatures(vec![
-            random_matrix(&mut rng, 3, 4),
-            random_matrix(&mut rng, 3, 2),
-        ]);
+        let req = Request::PredictFeatures {
+            blocks: vec![random_matrix(&mut rng, 3, 4), random_matrix(&mut rng, 3, 2)],
+            trace: None,
+        };
         let payload = encode_request(&req).unwrap();
         for cut in 0..payload.len() {
             match decode_request(&payload[..cut]) {
@@ -1254,7 +1208,11 @@ mod tests {
 
     #[test]
     fn truncated_stream_frame_errors() {
-        let payload = encode_request(&Request::PredictByIndex(vec![1, 2, 3])).unwrap();
+        let payload = encode_request(&Request::PredictByIndex {
+            indices: vec![1, 2, 3],
+            trace: None,
+        })
+        .unwrap();
         let mut framed = Vec::new();
         write_frame(&mut framed, &payload).unwrap();
         // Cut inside the length prefix and inside the payload.
@@ -1304,6 +1262,18 @@ mod tests {
             decode_response(&[0x42]),
             Err(WireError::BadTag(_))
         ));
+        // The retired binary Metrics op, both directions: a `0x84` reply
+        // with its old 14-value body is an unknown tag, not a snapshot.
+        assert!(matches!(
+            decode_request(&[0x05]),
+            Err(WireError::BadTag(0x05))
+        ));
+        let mut retired = vec![0x84];
+        retired.extend(std::iter::repeat_n(0u8, 14 * 8 + 4));
+        assert!(matches!(
+            decode_response(&retired),
+            Err(WireError::BadTag(0x84))
+        ));
     }
 
     #[test]
@@ -1323,18 +1293,25 @@ mod tests {
     fn legacy_encodings_are_bit_identical_golden_bytes() {
         assert_eq!(encode_request(&Request::Ping).unwrap(), vec![0x01]);
         assert_eq!(
-            encode_request(&Request::PredictByIndex(vec![1, 258])).unwrap(),
+            encode_request(&Request::PredictByIndex {
+                indices: vec![1, 258],
+                trace: None
+            })
+            .unwrap(),
             vec![0x02, 2, 0, 0, 0, 1, 0, 0, 0, 2, 1, 0, 0]
         );
         let m = Matrix::from_vec(1, 1, vec![1.5]).unwrap();
         let mut expect = vec![0x03, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0];
         expect.extend_from_slice(&1.5f64.to_bits().to_le_bytes());
         assert_eq!(
-            encode_request(&Request::PredictFeatures(vec![m.clone()])).unwrap(),
+            encode_request(&Request::PredictFeatures {
+                blocks: vec![m.clone()],
+                trace: None
+            })
+            .unwrap(),
             expect
         );
         assert_eq!(encode_request(&Request::Info).unwrap(), vec![0x04]);
-        assert_eq!(encode_request(&Request::Metrics).unwrap(), vec![0x05]);
         assert_eq!(encode_request(&Request::Shutdown).unwrap(), vec![0x06]);
         assert_eq!(encode_request(&Request::MetricsText).unwrap(), vec![0x07]);
     }
@@ -1348,16 +1325,21 @@ mod tests {
             parent_span: 0x5555_6666_7777_8888,
         };
         let indices = vec![9u32, 8, 7];
-        let legacy = encode_request(&Request::PredictByIndex(indices.clone())).unwrap();
-        let traced = encode_request(&Request::PredictByIndexTraced(indices.clone(), ctx)).unwrap();
+        let legacy = encode_request(&Request::PredictByIndex {
+            indices: indices.clone(),
+            trace: None,
+        })
+        .unwrap();
+        let req = Request::PredictByIndex {
+            indices,
+            trace: Some(ctx),
+        };
+        let traced = encode_request(&req).unwrap();
         assert_eq!(traced[0], 0x08);
         assert_eq!(&traced[1..9], &ctx.trace_id.to_le_bytes());
         assert_eq!(&traced[9..17], &ctx.parent_span.to_le_bytes());
         assert_eq!(&traced[17..], &legacy[1..]);
-        assert_eq!(
-            decode_request(&traced).unwrap(),
-            Request::PredictByIndexTraced(indices, ctx)
-        );
+        assert_eq!(decode_request(&traced).unwrap(), req);
     }
 
     #[test]
@@ -1466,7 +1448,10 @@ mod tests {
 
     #[test]
     fn frame_round_trip_over_stream() {
-        let req = Request::PredictByIndex(vec![9, 8, 7]);
+        let req = Request::PredictByIndex {
+            indices: vec![9, 8, 7],
+            trace: None,
+        };
         let payload = encode_request(&req).unwrap();
         let mut buf = Vec::new();
         write_frame(&mut buf, &payload).unwrap();

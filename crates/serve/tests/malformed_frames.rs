@@ -128,7 +128,11 @@ fn nan_smuggled_into_a_matrix_payload_is_rejected_and_survivable() {
     // Build a valid PredictFeatures request, then smuggle a NaN into the
     // raw IEEE-754 payload bytes (the encoder would have refused it).
     let blocks = vec![Matrix::zeros(1, 3), Matrix::zeros(1, 3)];
-    let mut payload = encode_request(&Request::PredictFeatures(blocks)).expect("encode");
+    let mut payload = encode_request(&Request::PredictFeatures {
+        blocks,
+        trace: None,
+    })
+    .expect("encode");
     let n = payload.len();
     payload[n - 8..].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
     assert!(matches!(
@@ -167,14 +171,19 @@ fn nan_smuggled_into_a_matrix_payload_is_rejected_and_survivable() {
 
 #[test]
 fn unknown_tag_mid_stream_is_typed_and_the_connection_recovers() {
-    // Codec level.
-    assert!(matches!(
-        decode_request(&[0x5A, 1, 2, 3]),
-        Err(WireError::BadTag(0x5A))
-    ));
+    // A tag never assigned, and 0x05, the retired binary Metrics op.
+    let bad_tags = [0x5A, 0x05];
 
-    // Live server: a valid request, then a garbage tag, then another
-    // valid request — all on one connection.
+    // Codec level.
+    for tag in bad_tags {
+        assert!(matches!(
+            decode_request(&[tag, 1, 2, 3]),
+            Err(WireError::BadTag(t)) if t == tag
+        ));
+    }
+
+    // Live server: a valid request, then each bad tag followed by
+    // another valid request — all on one connection.
     let server = PredictionServer::spawn(
         deployed(),
         Arc::new(DefensePipeline::new()),
@@ -191,22 +200,28 @@ fn unknown_tag_mid_stream_is_typed_and_the_connection_recovers() {
         Ok(Response::Pong)
     ));
 
-    stream.write_all(&frame(&[0x5A, 0, 0])).expect("bad tag");
-    let reply = read_frame(&mut stream).expect("read").expect("answered");
-    match fia_serve::wire::decode_response(&reply).expect("typed") {
-        Response::Error(why) => assert!(why.contains("tag"), "{why}"),
-        other => panic!("expected Error response, got {other:?}"),
+    for tag in bad_tags {
+        stream.write_all(&frame(&[tag, 0, 0])).expect("bad tag");
+        let reply = read_frame(&mut stream).expect("read").expect("answered");
+        match fia_serve::wire::decode_response(&reply).expect("typed") {
+            Response::Error(why) => assert!(why.contains("tag"), "{why}"),
+            other => panic!("expected Error response to {tag:#04x}, got {other:?}"),
+        }
+
+        write_frame(&mut stream, &ping).expect("send again");
+        let reply = read_frame(&mut stream).expect("read").expect("answered");
+        assert!(matches!(
+            fia_serve::wire::decode_response(&reply),
+            Ok(Response::Pong)
+        ));
     }
 
-    write_frame(&mut stream, &ping).expect("send again");
-    let reply = read_frame(&mut stream).expect("read").expect("answered");
-    assert!(matches!(
-        fia_serve::wire::decode_response(&reply),
-        Ok(Response::Pong)
-    ));
-
     let m = server.metrics();
-    assert!(m.errors >= 1, "bad tag must be counted as an error");
+    assert_eq!(
+        m.errors,
+        bad_tags.len() as u64,
+        "every bad tag must be counted as an error"
+    );
     server.shutdown();
 }
 

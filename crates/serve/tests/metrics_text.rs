@@ -1,7 +1,7 @@
 //! Over-the-wire scrape of the `MetricsText` op: a live server must
-//! answer with well-formed Prometheus-style exposition whose samples
-//! agree with the binary `Metrics` snapshot taken on the same
-//! connection.
+//! answer with well-formed Prometheus-style exposition, and the report
+//! a client parses from it must equal the one the server parses from
+//! its own text.
 
 use fia_linalg::Matrix;
 use fia_models::LogisticRegression;
@@ -44,7 +44,7 @@ fn take_sample(text: &str, name: &str) -> u64 {
 }
 
 #[test]
-fn scrape_is_well_formed_and_agrees_with_the_binary_snapshot() {
+fn scrape_is_well_formed_and_both_parsed_views_agree() {
     let server = PredictionServer::spawn(
         deployed_lr(),
         Arc::new(fia_defense::DefensePipeline::new()),
@@ -57,13 +57,38 @@ fn scrape_is_well_formed_and_agrees_with_the_binary_snapshot() {
     .expect("bind");
     let mut oracle = RemoteOracle::connect(server.addr()).expect("connect");
 
-    oracle.predict_batch(&[1, 5, 9, 13]).expect("round 1");
+    // Rows 0..24 are replica 0's shard and rows 24..48 replica 1's.
+    oracle.predict_batch(&[1, 30, 35, 40]).expect("round 1");
     oracle
-        .predict_batch(&[1, 5, 9, 13])
+        .predict_batch(&[1, 30, 35, 40])
         .expect("round 2 (cached)");
     assert!(oracle.predict_batch(&[999]).is_err(), "oob rejected");
 
-    let report = oracle.server_metrics().expect("binary snapshot");
+    // The server-side view first: the scrape's own request is counted
+    // only once its reply is staged, after its text was rendered, so
+    // both views see the same counters and the same latency sample.
+    let local = server.metrics();
+    let remote = oracle.server_metrics().expect("scrape");
+    assert!(remote.uptime_secs >= local.uptime_secs);
+    assert_eq!(
+        fia_serve::MetricsReport {
+            uptime_secs: local.uptime_secs,
+            throughput_rps: local.throughput_rps,
+            ..remote.clone()
+        },
+        local,
+        "client and server parse the same report"
+    );
+    assert_eq!(remote.requests, 3, "Info handshake + two predict rounds");
+    assert_eq!(remote.errors, 1);
+    assert_eq!(remote.cache_hits, 4, "second round was fully cached");
+    assert_eq!(remote.cache_misses, 4);
+    assert_eq!(remote.replica_rounds, vec![1, 1]);
+    assert_eq!(remote.replica_rows, vec![1, 3]);
+    assert_eq!((remote.rounds, remote.rows), (2, 4));
+    assert_eq!((remote.open_connections, remote.total_connections), (1, 1));
+    assert!(remote.p50_latency_us <= remote.p99_latency_us);
+
     let text = oracle.metrics_text().expect("scrape");
 
     // Structure: every sample's metric name has exactly one TYPE header.
@@ -75,6 +100,8 @@ fn scrape_is_well_formed_and_agrees_with_the_binary_snapshot() {
         "fia_serve_replica_rounds_total",
         "fia_serve_replica_rows_total",
         "fia_serve_request_duration_us",
+        "fia_serve_request_latency_p50_us",
+        "fia_serve_request_latency_p99_us",
         "fia_serve_uptime_seconds",
     ] {
         assert_eq!(
@@ -86,32 +113,10 @@ fn scrape_is_well_formed_and_agrees_with_the_binary_snapshot() {
         );
     }
 
-    // Agreement with the binary report. The scrape itself happened after
-    // the Metrics request completed, so requests grew by exactly one.
-    assert_eq!(
-        take_sample(&text, "fia_serve_requests_total"),
-        report.requests + 1
-    );
-    assert_eq!(take_sample(&text, "fia_serve_errors_total"), report.errors);
-    assert_eq!(
-        take_sample(&text, "fia_serve_cache_hit_rows_total"),
-        report.cache_hits
-    );
-    assert_eq!(report.cache_hits, 4, "second round was fully cached");
-    let rows: u64 = (0..2)
-        .map(|i| {
-            take_sample(
-                &text,
-                &format!("fia_serve_replica_rows_total{{replica=\"{i}\"}}"),
-            )
-        })
-        .sum();
-    assert_eq!(rows, report.rows);
-
-    // The latency histogram saw every completed request and its +Inf
-    // bucket equals its count.
+    // The latency histogram saw every completed request, the earlier
+    // scrape included, and its +Inf bucket equals its count.
     let count = take_sample(&text, "fia_serve_request_duration_us_count");
-    assert_eq!(count, report.requests + 1);
+    assert_eq!(count, remote.requests + 1);
     assert_eq!(
         take_sample(&text, "fia_serve_request_duration_us_bucket{le=\"+Inf\"}"),
         count

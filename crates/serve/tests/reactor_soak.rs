@@ -247,8 +247,11 @@ fn mid_soak_shutdown_drains_queued_jobs() {
         s.set_read_timeout(Some(Duration::from_secs(30)))
             .expect("timeout");
         for r in 0..PER_CONN {
-            let payload = encode_request(&Request::PredictByIndex(vec![(c * PER_CONN + r) as u32]))
-                .expect("encode");
+            let payload = encode_request(&Request::PredictByIndex {
+                indices: vec![(c * PER_CONN + r) as u32],
+                trace: None,
+            })
+            .expect("encode");
             write_frame(&mut s, &payload).expect("write");
         }
         conns.push(s);
@@ -298,9 +301,10 @@ fn pipelined_requests_are_answered_in_order() {
     for k in 0..PIPELINED {
         // Spread across shards so reordering *would* happen if the
         // reactor didn't sequence responses.
-        let payload = encode_request(&Request::PredictByIndex(vec![
-            ((k * 17) % system.n_samples()) as u32,
-        ]))
+        let payload = encode_request(&Request::PredictByIndex {
+            indices: vec![((k * 17) % system.n_samples()) as u32],
+            trace: None,
+        })
         .expect("encode");
         write_frame(&mut s, &payload).expect("write");
     }
@@ -319,7 +323,11 @@ fn pipelined_requests_are_answered_in_order() {
 
     // Interleave a Ping mid-pipeline and confirm FIFO still holds.
     let ping = encode_request(&Request::Ping).expect("encode");
-    let predict = encode_request(&Request::PredictByIndex(vec![3])).expect("encode");
+    let predict = encode_request(&Request::PredictByIndex {
+        indices: vec![3],
+        trace: None,
+    })
+    .expect("encode");
     write_frame(&mut s, &predict).expect("write");
     write_frame(&mut s, &ping).expect("write");
     let first = decode_response(&read_frame(&mut s).expect("read").expect("open")).expect("decode");

@@ -1,13 +1,12 @@
-//! Kernel-layer benches: matmul GFLOP/s across backend × precision, and
-//! GRNA generator training under the f64 vs mixed-f32 tape. Results land
-//! in `BENCH_kernels.json`; the ≥ 2× AVX2-vs-scalar matmul bar at
-//! 256×256+ is asserted locally and report-only under
-//! `FIA_BENCH_NO_ASSERT` (shared CI runners make wall-clock ratios
-//! noisy).
+//! Kernel-layer benches: f64 matmul GFLOP/s per backend arm, and GRNA
+//! generator training. Results land in `BENCH_kernels.json`; the ≥ 2×
+//! AVX2-vs-scalar matmul bar at 256×256+ is asserted locally and
+//! report-only under `FIA_BENCH_NO_ASSERT` (shared CI runners make
+//! wall-clock ratios noisy).
 
 use fia_bench::harness::Harness;
 use fia_core::{Grna, GrnaConfig};
-use fia_linalg::{avx2_available, with_backend, Backend, Matrix, Precision};
+use fia_linalg::{avx2_available, with_backend, Backend, Matrix};
 use fia_models::{LogisticRegression, LrConfig, PredictProba};
 
 /// Deterministic dense operand without pulling in an RNG: values in
@@ -40,19 +39,12 @@ fn matmul_sweep(h: &mut Harness) -> Vec<(usize, f64)> {
         let b = operand(n, n, 2);
         let mut medians = Vec::new();
         for &backend in backends {
-            for precision in [Precision::F64, Precision::F32] {
-                let name = format!("matmul_{n}_{}_{}", precision.name(), backend.name());
-                let r = h.bench(&name, || {
-                    with_backend(backend, || match precision {
-                        Precision::F64 => a.matmul(std::hint::black_box(&b)),
-                        Precision::F32 => a.matmul_mixed(std::hint::black_box(&b)),
-                    })
-                });
-                h.metric(&format!("{name}_gflops"), gflops(n, r.median_ns));
-                if precision == Precision::F64 {
-                    medians.push(r.median_ns);
-                }
-            }
+            let name = format!("matmul_{n}_f64_{}", backend.name());
+            let r = h.bench(&name, || {
+                with_backend(backend, || a.matmul(std::hint::black_box(&b)))
+            });
+            h.metric(&format!("{name}_gflops"), gflops(n, r.median_ns));
+            medians.push(r.median_ns);
         }
         if let [scalar_ns, avx2_ns] = medians[..] {
             let speedup = scalar_ns / avx2_ns;
@@ -63,9 +55,8 @@ fn matmul_sweep(h: &mut Harness) -> Vec<(usize, f64)> {
     speedups
 }
 
-/// Smoke-sized GRNA training (the attack's hot loop) under both tape
-/// precisions, on a synthetic deployment shaped like the paper's primary
-/// one.
+/// Smoke-sized GRNA training (the attack's hot loop) on a synthetic
+/// deployment shaped like the paper's primary one.
 fn grna_training(h: &mut Harness) {
     let cfg = fia_data::SynthConfig {
         n_samples: 400,
@@ -91,24 +82,15 @@ fn grna_training(h: &mut Harness) {
     let target: Vec<usize> = (8..12).collect();
     let x_adv = ds.features.select_columns(&adv).unwrap();
     let conf = model.predict_proba(&ds.features);
-    let base = GrnaConfig {
+    let cfg = GrnaConfig {
         hidden: vec![96, 48],
         epochs: 6,
         ..GrnaConfig::paper()
     };
-
-    let mut medians = Vec::new();
-    for precision in [Precision::F64, Precision::F32] {
-        let cfg = base.clone().with_precision(precision);
-        let r = h.bench(&format!("grna_train_{}", precision.name()), || {
-            Grna::new(&model, &adv, &target, cfg.clone())
-                .train(std::hint::black_box(&x_adv), std::hint::black_box(&conf))
-        });
-        medians.push(r.median_ns);
-    }
-    if let [f64_ns, f32_ns] = medians[..] {
-        h.metric("grna_train_f32_speedup", f64_ns / f32_ns);
-    }
+    h.bench("grna_train_f64", || {
+        Grna::new(&model, &adv, &target, cfg.clone())
+            .train(std::hint::black_box(&x_adv), std::hint::black_box(&conf))
+    });
 }
 
 fn main() {

@@ -1,11 +1,11 @@
-//! Substrate benches: linear algebra kernels (including the blocked and
-//! parallel multiplies), autograd throughput, model training/prediction,
-//! and the design-choice ablations from DESIGN.md §6.
+//! Substrate benches: linear algebra kernels (decompositions and the
+//! plain and pre-transposed multiplies), autograd throughput, model
+//! training/prediction, and the design-choice ablations.
 
 use fia_bench::experiments::ablation;
 use fia_bench::harness::Harness;
 use fia_bench::profiles::ExperimentConfig;
-use fia_linalg::{lstsq, par_matmul, pinv, svd, Matrix};
+use fia_linalg::{lstsq, pinv, svd, Matrix};
 use fia_models::{DecisionTree, LogisticRegression, LrConfig, PredictProba, TreeConfig};
 use fia_tensor::{Params, Tape};
 use rand::{rngs::StdRng, SeedableRng};
@@ -21,12 +21,7 @@ fn linalg_kernels(h: &mut Harness) {
     let m = Matrix::from_fn(128, 128, |i, j| ((i + j) % 9) as f64 * 0.1);
     h.bench("matmul_128", || m.matmul(std::hint::black_box(&m)));
     let big = Matrix::from_fn(384, 384, |i, j| ((i * 7 + j) % 11) as f64 * 0.1);
-    h.bench("matmul_blocked_384", || {
-        big.matmul_blocked(std::hint::black_box(&big), 64)
-    });
-    h.bench("par_matmul_384", || {
-        par_matmul(std::hint::black_box(&big), std::hint::black_box(&big))
-    });
+    h.bench("matmul_384", || big.matmul(std::hint::black_box(&big)));
     let bt = big.transpose();
     h.bench("matmul_transposed_384", || {
         big.matmul_transposed(std::hint::black_box(&bt))

@@ -2,6 +2,7 @@
 
 use crate::profiles::ExperimentConfig;
 use fia_campaign::{PartitionSpec, ScenarioData, ScenarioSpec};
+use fia_core::engine::default_workers;
 use fia_core::{
     baseline, metrics, Attack, AttackEngine, Grna, GrnaConfig, QueryBatch, TrainedGenerator,
 };
@@ -142,13 +143,11 @@ pub fn average_over_trials(
 }
 
 /// Maps `f` over the inputs on scoped worker threads, preserving order.
-/// At most `available_parallelism` workers run, each pulling the next
+/// At most [`default_workers`] workers run, each pulling the next
 /// input off a shared queue, so a sweep never oversubscribes the box
 /// (per-phase timings then measure work, not scheduler contention).
 pub fn parallel_map<T: Send, R: Send>(inputs: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
-    let workers = std::thread::available_parallelism()
-        .map_or(1, |p| p.get())
-        .min(inputs.len());
+    let workers = default_workers().min(inputs.len());
     let queue = Mutex::new(inputs.into_iter().enumerate());
     let next = || queue.lock().expect("queue lock").next();
     let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
@@ -181,8 +180,8 @@ mod tests {
         assert_eq!(out, vec![30, 10, 20]);
 
         // More inputs than workers: order still holds, and no more than
-        // `available_parallelism` inputs are ever in flight at once.
-        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+        // `default_workers()` inputs are ever in flight at once.
+        let cores = default_workers();
         let live = AtomicUsize::new(0);
         let peak = AtomicUsize::new(0);
         let inputs: Vec<u64> = (0..(4 * cores as u64 + 3)).collect();

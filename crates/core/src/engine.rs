@@ -154,6 +154,15 @@ pub trait Attack: Sync {
     }
 }
 
+/// The host's available parallelism (1 when it cannot be queried): the
+/// worker count [`AttackEngine::new`], the paper-experiment sweeps and
+/// the serve load generator size themselves to. Cached, because the
+/// underlying query is a syscall.
+pub fn default_workers() -> usize {
+    static WORKERS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *WORKERS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 /// Dispatches query batches to attacks, striping rows across worker
 /// threads.
 ///
@@ -176,7 +185,7 @@ impl Default for AttackEngine {
 impl AttackEngine {
     /// Engine sized to the host's available parallelism.
     pub fn new() -> Self {
-        Self::with_workers(fia_linalg::default_workers())
+        Self::with_workers(default_workers())
     }
 
     /// Engine with an explicit worker count (`0` is treated as `1`).
@@ -289,6 +298,12 @@ mod tests {
             assert_eq!(run.estimates, direct.estimates, "workers = {workers}");
             assert_eq!(run.degraded_rows, direct.degraded_rows);
         }
+    }
+
+    #[test]
+    fn default_workers_positive_and_stable() {
+        assert!(default_workers() >= 1);
+        assert_eq!(default_workers(), default_workers());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Every dense hot loop in the workspace — the matmul family behind the
 //! ESA solve and `pinv`, the served model's `predict_proba`, the
 //! `fia-tensor` tape that dominates GRNA wall-clock, and the `vecops`
-//! helpers — bottoms out here. The module holds two backend arms:
+//! `axpy` — bottoms out here. The module holds two backend arms:
 //!
 //! * [`Backend::Scalar`] — portable Rust loops, byte-for-byte the
 //!   pre-kernel-layer semantics. Always available.
@@ -21,23 +21,18 @@
 //!
 //! # Numerical contract
 //!
-//! The `f64` kernels (`gemm*`, [`axpy`], the elementwise `v*` family)
-//! preserve the scalar arm's accumulation order *exactly*: every output
-//! element accumulates its `k` contributions in ascending order with a
-//! separately rounded multiply and add (no FMA contraction). Both arms
-//! therefore produce **bit-identical** results — attack outputs do not
-//! depend on which backend ran, and `FIA_FORCE_SCALAR=1` is a pure
-//! performance switch. Two documented exceptions:
-//!
-//! * [`dot`] reduces across lanes (4 partial sums combined pairwise at
-//!   the end), so the AVX2 arm may differ from scalar by a few ULP —
-//!   bounded by `4·ε·Σ|aᵢbᵢ|` in the parity sweep. Nothing
-//!   result-affecting in the attack stack consumes `dot`.
-//! * [`gemm_mixed_acc`] is the opt-in f32 mixed-precision path (GRNA
-//!   generator training): inputs and multiplies are `f32` (the AVX2 arm
-//!   uses 8-lane FMA), partial sums are flushed into the `f64` output at
-//!   every `k`-panel boundary. The two arms agree to f32 tolerance, not
-//!   bitwise.
+//! Every kernel is `f64` ([`gemm_acc`], [`gemm_tn_acc`], [`axpy`], the
+//! elementwise `v*` family) and preserves the scalar arm's accumulation
+//! order *exactly*: every output element accumulates its `k`
+//! contributions in ascending order with a separately rounded multiply
+//! and add (no FMA contraction, no lane reduction). Both arms therefore
+//! produce **bit-identical** results on finite inputs, with no
+//! tolerance-based exception — attack outputs do not depend on which
+//! backend ran, and `FIA_FORCE_SCALAR=1` is a pure performance switch.
+//! (The scalar gemm skips `a_ik == 0` terms where the AVX2 arm adds their
+//! signed-zero products; for finite operands that can change only the
+//! sign of an exact-zero output that arrived in `out` as `-0.0`, which
+//! `==` treats as equal.)
 
 mod scalar;
 mod telemetry;
@@ -47,12 +42,6 @@ mod avx2;
 
 use std::cell::Cell;
 use std::sync::OnceLock;
-
-/// `k`-panel width shared by both arms of the mixed-precision kernel:
-/// the reduction boundary at which f32 partial sums are rounded into the
-/// f64 accumulator. Keeping it backend-independent keeps the f32 path's
-/// error profile stable under dispatch.
-pub(crate) const MIXED_KC: usize = 256;
 
 /// A compute backend arm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,8 +107,7 @@ pub fn active_backend() -> Backend {
 /// Runs `f` with every dispatched kernel on the current thread pinned to
 /// `backend` — the hook parity tests and benches use to compare arms in
 /// one process. The override nests, is restored on unwind, and does not
-/// propagate to spawned threads ([`crate::par_matmul`] captures the
-/// caller's backend before fanning out, so it *does* honor the override).
+/// propagate to spawned threads.
 ///
 /// # Panics
 /// Panics if `backend` is [`Backend::Avx2`] on a host without AVX2+FMA.
@@ -143,27 +131,12 @@ pub fn with_backend<T>(backend: Backend, f: impl FnOnce() -> T) -> T {
 // ----------------------------------------------------------------------
 
 /// `out += a · b` for row-major `a` (`m × k`), `b` (`k × n`), `out`
-/// (`m × n`) — the single inner kernel behind [`crate::Matrix::matmul`],
-/// [`crate::Matrix::matmul_blocked`] and the per-worker tiles of
-/// [`crate::par_matmul`]. Accumulation is `k`-ascending per output
-/// element on both arms (see the module docs), so all callers agree
-/// bitwise.
+/// (`m × n`) — the kernel behind [`crate::Matrix::matmul`].
+/// Accumulation is `k`-ascending per output element on both arms (see
+/// the module docs), so both arms agree bitwise.
 pub fn gemm_acc(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
-    gemm_acc_with(active_backend(), a, b, out, m, k, n);
-}
-
-/// [`gemm_acc`] on an explicit backend arm.
-pub fn gemm_acc_with(
-    backend: Backend,
-    a: &[f64],
-    b: &[f64],
-    out: &mut [f64],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
     check_gemm_shapes(a.len(), b.len(), out.len(), m, k, n);
-    let backend = resolve(backend);
+    let backend = resolve(active_backend());
     telemetry::record_gemm(backend, m, k, n, || match backend {
         Backend::Scalar => scalar::gemm_acc(a, b, out, m, k, n),
         #[cfg(target_arch = "x86_64")]
@@ -181,21 +154,8 @@ pub fn gemm_acc_with(
 /// transpose) and runs the same order-preserving tile kernel, so both
 /// arms agree bitwise.
 pub fn gemm_tn_acc(a: &[f64], bt: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
-    gemm_tn_acc_with(active_backend(), a, bt, out, m, k, n);
-}
-
-/// [`gemm_tn_acc`] on an explicit backend arm.
-pub fn gemm_tn_acc_with(
-    backend: Backend,
-    a: &[f64],
-    bt: &[f64],
-    out: &mut [f64],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
     check_gemm_shapes(a.len(), bt.len(), out.len(), m, k, n);
-    let backend = resolve(backend);
+    let backend = resolve(active_backend());
     telemetry::record_gemm(backend, m, k, n, || match backend {
         Backend::Scalar => scalar::gemm_tn_acc(a, bt, out, m, k, n),
         #[cfg(target_arch = "x86_64")]
@@ -206,65 +166,9 @@ pub fn gemm_tn_acc_with(
     });
 }
 
-/// `out += demote(a) · demote(b)` computed in f32 — the opt-in
-/// mixed-precision arm of GRNA generator training. `a32`/`b32` are the
-/// row-major f32 operands; products accumulate in f32 within
-/// [`MIXED_KC`]-wide `k` panels and are flushed into the f64 `out` at
-/// every panel boundary. The AVX2 arm uses 8-lane FMA; both arms agree
-/// to f32 tolerance (not bitwise), which the opt-in contract documents.
-pub fn gemm_mixed_acc(a32: &[f32], b32: &[f32], out: &mut [f64], m: usize, k: usize, n: usize) {
-    gemm_mixed_acc_with(active_backend(), a32, b32, out, m, k, n);
-}
-
-/// [`gemm_mixed_acc`] on an explicit backend arm.
-pub fn gemm_mixed_acc_with(
-    backend: Backend,
-    a32: &[f32],
-    b32: &[f32],
-    out: &mut [f64],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    check_gemm_shapes(a32.len(), b32.len(), out.len(), m, k, n);
-    let backend = resolve(backend);
-    telemetry::record_gemm(backend, m, k, n, || match backend {
-        Backend::Scalar => scalar::gemm_mixed_acc(a32, b32, out, m, k, n),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `resolve` only yields Avx2 when the CPU supports it.
-        Backend::Avx2 => unsafe { avx2::gemm_mixed_acc(a32, b32, out, m, k, n) },
-        #[cfg(not(target_arch = "x86_64"))]
-        Backend::Avx2 => unreachable!("resolve() never yields Avx2 off x86-64"),
-    });
-}
-
 // ----------------------------------------------------------------------
 // Vector kernels
 // ----------------------------------------------------------------------
-
-/// Dot product of two equal-length slices.
-///
-/// The AVX2 arm reduces across 4 lane accumulators, so it may differ
-/// from the scalar arm by a few ULP (bounded by `4·ε·Σ|aᵢbᵢ|`).
-///
-/// # Panics
-/// Panics on a length mismatch.
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    dot_with(active_backend(), a, b)
-}
-
-/// [`dot`] on an explicit backend arm.
-pub fn dot_with(backend: Backend, a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "dot: length mismatch");
-    match resolve(backend) {
-        Backend::Scalar => scalar::dot(a, b),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `resolve` only yields Avx2 when the CPU supports it.
-        Backend::Avx2 => unsafe { avx2::dot(a, b) },
-        #[cfg(not(target_arch = "x86_64"))]
-        Backend::Avx2 => unreachable!("resolve() never yields Avx2 off x86-64"),
-    }
-}
 
 /// `y ← y + alpha·x` in place. Elementwise (no reduction), so both arms
 /// are bit-identical.
@@ -425,12 +329,6 @@ mod tests {
         gemm_acc(&[], &[], &mut out1, 1, 0, 1);
         assert_eq!(out1, [5.0]);
         let _ = a;
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn dot_mismatch_panics() {
-        let _ = dot(&[1.0, 2.0], &[1.0]);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! Setting `FIA_PROFILE=1` (read once per process) additionally times
 //! each call into a per-backend log2 histogram
 //! (`fia_kernel_gemm_duration_us`). Timing is opt-in because two
-//! `Instant` reads per call are *not* negligible for the small tiles
-//! `par_matmul` fans out.
+//! `Instant` reads per call are *not* negligible for the small products
+//! GRNA's tape issues.
 
 use super::Backend;
 use fia_telemetry::{global, Counter, Histogram};

@@ -209,52 +209,6 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Cache-blocked matrix multiplication. Since the kernel layer now
-    /// picks its own panel sizes per backend, this is the same dispatched
-    /// multiply as [`Matrix::matmul`]; the `block` hint is retained for
-    /// API compatibility (results never depended on it — every blocking
-    /// accumulates in the same per-element order).
-    pub fn matmul_blocked(&self, rhs: &Matrix, block: usize) -> Result<Matrix> {
-        if self.cols != rhs.rows {
-            return Err(LinAlgError::ShapeMismatch {
-                left: self.shape(),
-                right: rhs.shape(),
-                op: "matmul_blocked",
-            });
-        }
-        let _ = block;
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        crate::kernel::gemm_acc(
-            &self.data,
-            &rhs.data,
-            &mut out.data,
-            self.rows,
-            self.cols,
-            rhs.cols,
-        );
-        Ok(out)
-    }
-
-    /// Mixed-precision multiplication `self * rhs` computed in f32 with
-    /// f64 accumulation at reduction boundaries — the opt-in fast path
-    /// behind GRNA generator training's `Precision::F32` knob (see
-    /// [`crate::kernel::gemm_mixed_acc`]). Roughly half the memory
-    /// traffic and twice the SIMD width of the f64 path, at f32 accuracy.
-    pub fn matmul_mixed(&self, rhs: &Matrix) -> Result<Matrix> {
-        if self.cols != rhs.rows {
-            return Err(LinAlgError::ShapeMismatch {
-                left: self.shape(),
-                right: rhs.shape(),
-                op: "matmul_mixed",
-            });
-        }
-        let a32: Vec<f32> = self.data.iter().map(|&x| x as f32).collect();
-        let b32: Vec<f32> = rhs.data.iter().map(|&x| x as f32).collect();
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        crate::kernel::gemm_mixed_acc(&a32, &b32, &mut out.data, self.rows, self.cols, rhs.cols);
-        Ok(out)
-    }
-
     /// Computes `self · rhs_tᵀ` from an already-transposed right factor:
     /// every output element is a dot product of two contiguous rows, the
     /// friendliest access pattern row-major storage allows. Callers that

@@ -3,11 +3,8 @@
 //! These operate on plain `&[f64]` slices so callers do not need to wrap
 //! short-lived vectors in [`crate::Matrix`].
 
-/// Dot product of two equal-length slices, dispatched through the
-/// [`crate::kernel`] backend. The AVX2 arm reduces across SIMD lanes, so
-/// it may differ from the scalar arm by a few ULP (documented bound in
-/// the kernel module); every other `vecops` routine is bit-identical
-/// across backends.
+/// Dot product of two equal-length slices: a sequential `k`-ascending
+/// sum, the same on every host.
 ///
 /// # Panics
 /// Panics if the lengths differ — same contract in debug and release
@@ -16,7 +13,8 @@
 /// programming error and fails loudly).
 #[inline]
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    crate::kernel::dot(a, b)
+    assert_eq!(a.len(), b.len(), "dot: length mismatch");
+    a.iter().zip(b.iter()).map(|(&x, &y)| x * y).sum()
 }
 
 /// Euclidean (L2) norm.

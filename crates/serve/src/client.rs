@@ -385,9 +385,7 @@ pub fn run_load_open(
     // One blocking handshake learns the deployment shape; the mux
     // sockets skip per-connection Info round trips entirely.
     let n_samples = RemoteOracle::connect(addr)?.info().n_samples.max(1);
-    let drivers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
+    let drivers = fia_core::engine::default_workers()
         .min(8)
         .min(connections)
         .max(1);

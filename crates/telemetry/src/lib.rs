@@ -17,7 +17,7 @@
 //!   [`global()`].
 //! * [`Tracer`] / [`Span`] — hierarchical scoped timers with *explicit*
 //!   parent handles: no thread-local magic, so a span crosses
-//!   `par_matmul`'s scoped threads and batcher threads by ordinary
+//!   `AttackEngine`'s scoped workers and batcher threads by ordinary
 //!   borrows. Finished spans collect into [`SpanRecord`]s and render to
 //!   JSONL ([`Tracer::to_jsonl`]).
 //! * [`TelemetrySnapshot`] — a plain-old-data point-in-time view

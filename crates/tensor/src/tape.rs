@@ -1,18 +1,8 @@
 //! The autograd tape: forward construction and reverse-mode backward.
 
 use crate::params::{ParamId, Params};
-use fia_linalg::{Matrix, Precision};
+use fia_linalg::Matrix;
 use rand::Rng;
-
-/// Matrix product at the tape's precision: full f64 by default, the
-/// mixed f32 kernel (f64 accumulation at reduction boundaries) when the
-/// tape was built with [`Tape::with_precision`]`(Precision::F32)`.
-fn mm(precision: Precision, a: &Matrix, b: &Matrix) -> fia_linalg::Result<Matrix> {
-    match precision {
-        Precision::F64 => a.matmul(b),
-        Precision::F32 => a.matmul_mixed(b),
-    }
-}
 
 /// Handle to a value on a [`Tape`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -107,12 +97,6 @@ pub struct Tape {
     /// are generator outputs — but diagnostic tooling (saliency, the
     /// gradient-checker) wants input grads, so it is configurable.
     grad_for_inputs: bool,
-    /// Compute precision for the matmul-heavy ops (forward *and* backward
-    /// products). Everything else — activations, reductions, LayerNorm,
-    /// optimizer state upstream — stays f64 regardless, which is where
-    /// the mixed path's "f64 accumulation at reduction boundaries"
-    /// contract lives.
-    precision: Precision,
 }
 
 impl Default for Tape {
@@ -127,7 +111,6 @@ impl Tape {
         Tape {
             nodes: Vec::new(),
             grad_for_inputs: false,
-            precision: Precision::F64,
         }
     }
 
@@ -137,25 +120,7 @@ impl Tape {
         Tape {
             nodes: Vec::new(),
             grad_for_inputs: true,
-            precision: Precision::F64,
         }
-    }
-
-    /// Creates a tape whose matmul ops (forward and backward) run at the
-    /// given [`Precision`]. `Precision::F64` is identical to
-    /// [`Tape::new`]; `Precision::F32` is the opt-in mixed-precision path
-    /// GRNA generator training uses.
-    pub fn with_precision(precision: Precision) -> Self {
-        Tape {
-            nodes: Vec::new(),
-            grad_for_inputs: false,
-            precision,
-        }
-    }
-
-    /// The precision this tape's matmuls run at.
-    pub fn precision(&self) -> Precision {
-        self.precision
     }
 
     fn push(&mut self, value: Matrix, op: Op, needs_grad: bool) -> VarId {
@@ -242,12 +207,10 @@ impl Tape {
     /// Panics on inner-dimension mismatch — tapes are built by library
     /// code with statically known layer shapes, so a mismatch is a bug.
     pub fn matmul(&mut self, a: VarId, b: VarId) -> VarId {
-        let v = mm(
-            self.precision,
-            &self.nodes[a.0].value,
-            &self.nodes[b.0].value,
-        )
-        .expect("tape matmul: shape mismatch");
+        let v = self.nodes[a.0]
+            .value
+            .matmul(&self.nodes[b.0].value)
+            .expect("tape matmul: shape mismatch");
         let ng = self.needs(a) || self.needs(b);
         self.push(v, Op::MatMul(a, b), ng)
     }
@@ -632,15 +595,14 @@ impl Tape {
             Op::Input | Op::Param(_) => {}
             Op::MatMul(a, b) => {
                 let (a, b) = (*a, *b);
-                let prec = self.precision;
                 if self.needs(a) {
                     let bt = self.nodes[b.0].value.transpose();
-                    let da = mm(prec, g, &bt).expect("shapes consistent");
+                    let da = g.matmul(&bt).expect("shapes consistent");
                     self.accumulate(a, da);
                 }
                 if self.needs(b) {
                     let at = self.nodes[a.0].value.transpose();
-                    let db = mm(prec, &at, g).expect("shapes consistent");
+                    let db = at.matmul(g).expect("shapes consistent");
                     self.accumulate(b, db);
                 }
             }
@@ -1125,38 +1087,6 @@ mod tests {
         let loss = tape.sum_all(y);
         tape.backward(loss);
         assert_eq!(tape.grad(wv).unwrap()[(0, 0)], 2.0);
-    }
-
-    #[test]
-    fn f32_tape_matches_f64_to_single_precision() {
-        use fia_linalg::Precision;
-        let mut params = Params::new();
-        let w = params.insert(Matrix::from_fn(6, 4, |i, j| {
-            ((i * 4 + j) as f64 * 0.137).sin() * 0.5
-        }));
-        let x_val = Matrix::from_fn(3, 6, |i, j| ((i * 6 + j) as f64 * 0.311).cos());
-        let t_val = Matrix::from_fn(3, 4, |i, j| ((i + j) as f64 * 0.21).sin());
-
-        let run = |precision: Precision| {
-            let mut tape = Tape::with_precision(precision);
-            let x = tape.input(x_val.clone());
-            let wv = tape.param(&params, w);
-            let y = tape.matmul(x, wv);
-            let t = tape.input(t_val.clone());
-            let loss = tape.mse_loss(y, t);
-            tape.backward(loss);
-            (tape.value(loss)[(0, 0)], tape.grad(wv).unwrap().clone())
-        };
-
-        let (l64, g64) = run(Precision::F64);
-        let (l32, g32) = run(Precision::F32);
-        assert!((l64 - l32).abs() < 1e-5, "loss drifted: {l64} vs {l32}");
-        assert!(g64.max_abs_diff(&g32).unwrap() < 1e-5);
-        assert_eq!(
-            Tape::with_precision(Precision::F32).precision(),
-            Precision::F32
-        );
-        assert_eq!(Tape::new().precision(), Precision::F64);
     }
 
     #[test]

@@ -71,17 +71,13 @@ impl PartitionSpec {
 
 /// Tuning knobs for a [`OracleSpec::Served`] deployment — the subset of
 /// `fia_serve::ServeConfig` a campaign exposes (the bind address is
-/// always an ephemeral port, and coalescing stays on).
+/// always an ephemeral port).
 #[derive(Debug, Clone)]
 pub struct ServedConfig {
-    /// Backend replicas behind the prediction service.
-    pub replicas: usize,
     /// Released-score cache capacity in rows; `0` disables caching.
     pub cache_capacity: usize,
     /// Row budget per coalesced prediction round.
     pub batch_cap: usize,
-    /// Coalescer deadline past a round's first request.
-    pub batch_deadline: Duration,
     /// Simulated fixed cost of one secure joint-prediction round.
     pub round_cost: Duration,
 }
@@ -89,10 +85,8 @@ pub struct ServedConfig {
 impl Default for ServedConfig {
     fn default() -> Self {
         ServedConfig {
-            replicas: 1,
             cache_capacity: 0,
             batch_cap: 64,
-            batch_deadline: Duration::from_micros(500),
             round_cost: Duration::ZERO,
         }
     }
@@ -122,8 +116,8 @@ impl OracleSpec {
         match self {
             OracleSpec::InProcess => "in-process".to_string(),
             OracleSpec::Served(cfg) => format!(
-                "served(replicas={},cache={},batch_cap={})",
-                cfg.replicas, cfg.cache_capacity, cfg.batch_cap
+                "served(cache={},batch_cap={})",
+                cfg.cache_capacity, cfg.batch_cap
             ),
         }
     }
@@ -226,9 +220,8 @@ impl ScenarioSpec {
     /// served and in-process campaigns — and resumed vs fresh runs —
     /// stay bit-identical. Defenses that seed from the *released
     /// batch's* content (`NoiseDefense`) deliberately draw different
-    /// noise per round composition; the served oracle's coalescing and
-    /// shard-splitting compose rounds differently than in-process
-    /// chunks, so such scenarios are statistically equivalent across
+    /// noise per round composition; the served oracle's coalescing
+    /// composes rounds differently than in-process chunks, so such scenarios are statistically equivalent across
     /// oracle kinds but not bit-comparable (nor is a resumed run whose
     /// remainder chunk differs). That mirrors the modelled deployment:
     /// the adversary cannot re-derive the server's noise stream.
@@ -499,10 +492,7 @@ impl ResolvedScenario {
         };
         let serve_cfg = ServeConfig {
             bind: "127.0.0.1:0".to_string(),
-            replicas: cfg.replicas,
             batch_cap: cfg.batch_cap,
-            batch_deadline: cfg.batch_deadline,
-            coalesce: true,
             cache_capacity: cfg.cache_capacity,
             cache_seed: self.seed ^ 0x5C0_7E5,
             round_cost: cfg.round_cost,

@@ -52,7 +52,6 @@ fn esa_served_matches_in_process() {
         spec,
         AttackSpec::esa(),
         ServedConfig {
-            replicas: 3,
             cache_capacity: 512,
             ..ServedConfig::default()
         },
@@ -69,7 +68,6 @@ fn pra_served_matches_in_process() {
         spec,
         AttackSpec::pra(),
         ServedConfig {
-            replicas: 2,
             ..ServedConfig::default()
         },
     );
@@ -91,7 +89,6 @@ fn grna_served_matches_in_process() {
         spec,
         AttackSpec::grna(grna),
         ServedConfig {
-            replicas: 2,
             cache_capacity: 256,
             ..ServedConfig::default()
         },
@@ -131,7 +128,6 @@ fn served_rerun_is_cache_served_and_identical() {
         .with_scale(0.005)
         .with_partition(PartitionSpec::two_block_random(0.2))
         .with_oracle(OracleSpec::Served(ServedConfig {
-            replicas: 2,
             cache_capacity: 4096,
             ..ServedConfig::default()
         }))

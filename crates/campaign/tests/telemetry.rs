@@ -31,7 +31,6 @@ fn served_scrape_covers_serve_campaign_and_kernel_instruments() {
     let _guard = LOCK.lock().unwrap();
     let scenario = lr_spec(53)
         .with_oracle(OracleSpec::Served(ServedConfig {
-            replicas: 2,
             cache_capacity: 4096,
             ..ServedConfig::default()
         }))

@@ -15,7 +15,6 @@ fn served_campaign(seed: u64, cache: usize) -> Campaign {
         .with_scale(0.005)
         .with_partition(PartitionSpec::two_block_random(0.2))
         .with_oracle(OracleSpec::Served(ServedConfig {
-            replicas: 2,
             cache_capacity: cache,
             ..ServedConfig::default()
         }))

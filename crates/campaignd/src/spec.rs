@@ -95,7 +95,10 @@ pub enum JobOracle {
     /// Query a real `fia-serve` prediction server the daemon spawns —
     /// and shares with every other job whose fingerprint matches.
     Shared {
-        /// Backend replicas behind the shared server.
+        /// Backend replica count. The v1 blob still carries it, so it
+        /// must be at least 1, but the daemon otherwise ignores it:
+        /// every served deployment runs one batcher, and the count never
+        /// changed a released byte.
         replicas: u32,
         /// Released-score cache capacity in rows (`0` disables; keep it
         /// `0` when bit-identical resume across restarts matters, since
@@ -335,13 +338,8 @@ impl JobSpec {
                 spec.with_defense(DefensePipeline::new().then(RoundingDefense::coarse()))
             }
         };
-        if let JobOracle::Shared {
-            replicas,
-            cache_capacity,
-        } = self.oracle
-        {
+        if let JobOracle::Shared { cache_capacity, .. } = self.oracle {
             spec = spec.with_oracle(OracleSpec::Served(ServedConfig {
-                replicas: replicas as usize,
                 cache_capacity: cache_capacity as usize,
                 ..ServedConfig::default()
             }));

@@ -10,9 +10,9 @@
 //! * [`wire`] — a length-prefixed binary codec whose matrices travel as
 //!   raw IEEE-754 bits, so over-the-wire attack replays reproduce
 //!   in-process results to the last ulp.
-//! * [`Coalescer`] — adaptive micro-batch coalescing: queued requests
-//!   drain into one joint-prediction round when a row budget or a
-//!   deadline is hit, amortizing the per-round protocol cost a real VFL
+//! * [`Coalescer`] — greedy micro-batch coalescing: a round is the
+//!   first queued request plus whatever is already queued behind it, up
+//!   to a row budget, amortizing the per-round protocol cost a real VFL
 //!   deployment pays.
 //! * [`PredictionServer`] — the TCP service: a single *reactor* thread
 //!   (nonblocking sockets multiplexed through an in-tree `epoll` shim,
@@ -20,17 +20,13 @@
 //!   owns the listener and every client connection — incremental frame
 //!   assembly, classified accept-error backoff, in-order response
 //!   writes ([`reactor`], which `fia-campaignd` runs its job ops on
-//!   too) — and feeds a *replica pool* of batchers
-//!   ([`ServeConfig::replicas`]), each owning a cheap clone of the
-//!   deployment, with the [`fia_defense::DefensePipeline`] applied once
-//!   per round at each replica's score-release boundary, graceful
-//!   shutdown, and live [`ServerMetrics`] (throughput, p50/p99 latency,
-//!   per-replica batch fill, cache hit rate, connection gauges). Four
-//!   thousand idle clients cost four thousand fds, not four thousand
-//!   threads.
-//! * [`ShardMap`] — consistent contiguous row-range sharding of the
-//!   stored prediction set across the replicas: stored-index queries
-//!   route by shard, ad-hoc feature queries by least-loaded replica.
+//!   too) — and queues one job per request for a single batcher thread,
+//!   which owns the deployment and applies the
+//!   [`fia_defense::DefensePipeline`] once per round at the
+//!   score-release boundary. Shutdown is graceful, and live
+//!   [`ServerMetrics`] report throughput, p50/p99 latency, batch fill,
+//!   cache hit rate and connection gauges. Four thousand idle clients
+//!   cost four thousand fds, not four thousand threads.
 //! * [`ScoreCache`] — the bounded, seeded released-score cache
 //!   ([`ServeConfig::cache_capacity`]). It sits strictly *after* the
 //!   defense pipeline: what it stores is what crossed the release
@@ -49,14 +45,13 @@
 //! real address back from [`ServerHandle::addr`], keeping parallel test
 //! runs collision-free.
 //!
-//! Everything above the wire codec is behind [`PredictionServer::spawn`]:
-//! pool, dispatch and cache landed without changing a client.
+//! Everything above the wire codec is behind [`PredictionServer::spawn`],
+//! so the serving internals change without changing a client.
 
 pub mod audit;
 mod cache;
 mod client;
 mod coalesce;
-mod dispatch;
 mod metrics;
 mod pool;
 mod predict;
@@ -72,7 +67,6 @@ pub use client::{
     RemoteOracle,
 };
 pub use coalesce::{Coalescer, Coalescible};
-pub use dispatch::ShardMap;
 pub use metrics::{MetricsReport, ServerMetrics};
 pub use server::{PredictionServer, ServeConfig, ServerHandle, SERVER_SPAN_ID_BASE};
 pub use wire::{JobState, JobStatusInfo, ServerInfo, WireError};

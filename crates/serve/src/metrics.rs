@@ -1,5 +1,5 @@
 //! Per-server metrics: throughput, latency percentiles, batch fill,
-//! per-replica round/row gauges and released-score-cache hit rates.
+//! round/row counters and released-score-cache hit rates.
 //!
 //! Since the telemetry PR the counters are [`fia_telemetry`] instruments
 //! on a per-server [`Registry`] — still lock-free atomics on the hot
@@ -70,12 +70,6 @@ impl Reservoir {
     }
 }
 
-/// Per-replica round/row counters.
-struct ReplicaCounters {
-    rounds: Arc<Counter>,
-    rows: Arc<Counter>,
-}
-
 /// Classified `accept()` failures — the label set of
 /// `fia_serve_accept_errors_total{kind=}`. The old server collapsed all
 /// of these into one anonymous sleep; the reactor counts them and picks
@@ -140,7 +134,8 @@ pub struct ServerMetrics {
     connections_total: Arc<Counter>,
     /// One counter per [`AcceptErrorKind`], in `ALL` order.
     accept_errors: Vec<Arc<Counter>>,
-    replicas: Vec<ReplicaCounters>,
+    rounds: Arc<Counter>,
+    rows: Arc<Counter>,
     reservoir: Mutex<Reservoir>,
 }
 
@@ -149,7 +144,7 @@ impl std::fmt::Debug for ServerMetrics {
         f.debug_struct("ServerMetrics")
             .field("requests", &self.requests.get())
             .field("errors", &self.errors.get())
-            .field("replicas", &self.replicas.len())
+            .field("rounds", &self.rounds.get())
             .finish_non_exhaustive()
     }
 }
@@ -161,32 +156,10 @@ impl Default for ServerMetrics {
 }
 
 impl ServerMetrics {
-    /// Fresh single-replica metrics; the uptime clock starts now.
+    /// Fresh metrics on a private telemetry registry; the uptime clock
+    /// starts now.
     pub fn new() -> Self {
-        Self::with_replicas(1)
-    }
-
-    /// Fresh metrics tracking `replicas` backend replicas, on a private
-    /// telemetry registry.
-    pub fn with_replicas(replicas: usize) -> Self {
         let registry = Arc::new(Registry::new());
-        let replicas = (0..replicas.max(1))
-            .map(|i| {
-                let idx = i.to_string();
-                ReplicaCounters {
-                    rounds: registry.counter_with(
-                        "fia_serve_replica_rounds_total",
-                        "Coalesced prediction rounds executed, per backend replica.",
-                        &[("replica", &idx)],
-                    ),
-                    rows: registry.counter_with(
-                        "fia_serve_replica_rows_total",
-                        "Query rows answered, per backend replica.",
-                        &[("replica", &idx)],
-                    ),
-                }
-            })
-            .collect();
         ServerMetrics {
             started: Instant::now(),
             requests: registry.counter(
@@ -236,15 +209,17 @@ impl ServerMetrics {
                     )
                 })
                 .collect(),
-            replicas,
+            rounds: registry.counter(
+                "fia_serve_rounds_total",
+                "Coalesced prediction rounds executed.",
+            ),
+            rows: registry.counter(
+                "fia_serve_rows_total",
+                "Query rows answered by prediction rounds.",
+            ),
             reservoir: Mutex::new(Reservoir::new()),
             registry,
         }
-    }
-
-    /// Number of replicas being tracked.
-    pub fn n_replicas(&self) -> usize {
-        self.replicas.len()
     }
 
     /// The server's private telemetry registry.
@@ -294,12 +269,10 @@ impl ServerMetrics {
         self.connections_open.set(open_now as f64);
     }
 
-    /// Records one coalesced prediction round answering `rows` queries
-    /// on backend `replica`.
-    pub fn record_round(&self, replica: usize, rows: usize) {
-        let r = &self.replicas[replica.min(self.replicas.len() - 1)];
-        r.rounds.inc();
-        r.rows.add(rows as u64);
+    /// Records one coalesced prediction round answering `rows` queries.
+    pub fn record_round(&self, rows: usize) {
+        self.rounds.inc();
+        self.rows.add(rows as u64);
     }
 
     /// Records the cache outcome of one stored-index request: `hits`
@@ -358,7 +331,7 @@ pub struct MetricsReport {
     pub requests: u64,
     /// Total query rows answered across all rounds.
     pub rows: u64,
-    /// Prediction rounds executed (coalesced batches), all replicas.
+    /// Prediction rounds executed (coalesced batches).
     pub rounds: u64,
     /// Rejected requests.
     pub errors: u64,
@@ -383,18 +356,14 @@ pub struct MetricsReport {
     pub uptime_secs: f64,
     /// Requests per second over the whole uptime.
     pub throughput_rps: f64,
-    /// Rounds executed per backend replica, in replica order.
-    pub replica_rounds: Vec<u64>,
-    /// Rows answered per backend replica, in replica order.
-    pub replica_rows: Vec<u64>,
 }
 
 impl MetricsReport {
     /// Parses a server's text exposition (what the `MetricsText` wire op
     /// returns). Series absent from the text read as 0 and series the
-    /// report does not carry are ignored; `rounds`, `rows` and
-    /// `accept_errors` sum their labelled series, and the mean fill and
-    /// throughput are derived from the parsed counters.
+    /// report does not carry are ignored; `accept_errors` sums its
+    /// labelled series, and the mean fill and throughput are derived
+    /// from the parsed counters.
     pub fn from_exposition(text: &str) -> MetricsReport {
         let mut r = MetricsReport::default();
         for line in text.lines().filter(|l| !l.starts_with('#')) {
@@ -404,7 +373,7 @@ impl MetricsReport {
             let Ok(v) = value.parse::<f64>() else {
                 continue;
             };
-            let (name, labels) = series.split_once('{').unwrap_or((series, ""));
+            let name = series.split_once('{').map_or(series, |(name, _)| name);
             match name {
                 "fia_serve_requests_total" => r.requests = v as u64,
                 "fia_serve_errors_total" => r.errors = v as u64,
@@ -416,16 +385,11 @@ impl MetricsReport {
                 "fia_serve_request_latency_p50_us" => r.p50_latency_us = v,
                 "fia_serve_request_latency_p99_us" => r.p99_latency_us = v,
                 "fia_serve_uptime_seconds" => r.uptime_secs = v,
-                "fia_serve_replica_rounds_total" => set_replica(&mut r.replica_rounds, labels, v),
-                "fia_serve_replica_rows_total" => set_replica(&mut r.replica_rows, labels, v),
+                "fia_serve_rounds_total" => r.rounds = v as u64,
+                "fia_serve_rows_total" => r.rows = v as u64,
                 _ => {}
             }
         }
-        let n = r.replica_rounds.len().max(r.replica_rows.len());
-        r.replica_rounds.resize(n, 0);
-        r.replica_rows.resize(n, 0);
-        r.rounds = r.replica_rounds.iter().sum();
-        r.rows = r.replica_rows.iter().sum();
         if r.rounds > 0 {
             r.mean_batch_fill = r.rows as f64 / r.rounds as f64;
         }
@@ -444,41 +408,6 @@ impl MetricsReport {
             self.cache_hits as f64 / total as f64
         }
     }
-
-    /// Per-replica mean batch fill (rows per round), in replica order.
-    pub fn replica_fill(&self) -> Vec<f64> {
-        self.replica_rounds
-            .iter()
-            .zip(&self.replica_rows)
-            .map(|(&rounds, &rows)| {
-                if rounds == 0 {
-                    0.0
-                } else {
-                    rows as f64 / rounds as f64
-                }
-            })
-            .collect()
-    }
-}
-
-/// Replica labels at or above this index are ignored: the text may come
-/// from a remote peer, and an index sizes the per-replica vectors.
-const MAX_REPLICAS: usize = 4096;
-
-/// Stores a per-replica sample at its `replica="i"` label's index.
-fn set_replica(slots: &mut Vec<u64>, labels: &str, v: f64) {
-    let Some(i) = labels
-        .strip_prefix("replica=\"")
-        .and_then(|l| l.strip_suffix("\"}"))
-        .and_then(|i| i.parse::<usize>().ok())
-        .filter(|&i| i < MAX_REPLICAS)
-    else {
-        return;
-    };
-    if slots.len() <= i {
-        slots.resize(i + 1, 0);
-    }
-    slots[i] = v as u64;
 }
 
 #[cfg(test)]
@@ -493,8 +422,8 @@ mod tests {
     #[test]
     fn counters_accumulate_and_fill_is_mean() {
         let m = ServerMetrics::new();
-        m.record_round(0, 4);
-        m.record_round(0, 8);
+        m.record_round(4);
+        m.record_round(8);
         for lat in [100, 200, 300, 400] {
             m.record_request(lat);
         }
@@ -555,24 +484,6 @@ mod tests {
     }
 
     #[test]
-    fn per_replica_gauges_split_rounds_and_rows() {
-        let m = ServerMetrics::with_replicas(3);
-        assert_eq!(m.n_replicas(), 3);
-        m.record_round(0, 10);
-        m.record_round(2, 2);
-        m.record_round(2, 4);
-        let r = report(&m);
-        assert_eq!(r.replica_rounds, vec![1, 0, 2]);
-        assert_eq!(r.replica_rows, vec![10, 0, 6]);
-        assert_eq!(r.rounds, 3);
-        assert_eq!(r.rows, 16);
-        let fill = r.replica_fill();
-        assert!((fill[0] - 10.0).abs() < 1e-12);
-        assert_eq!(fill[1], 0.0);
-        assert!((fill[2] - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn cache_counters_and_hit_rate() {
         let m = ServerMetrics::new();
         m.record_cache(3, 1);
@@ -627,13 +538,14 @@ mod tests {
 
     #[test]
     fn exposition_covers_the_serve_instruments() {
-        let m = ServerMetrics::with_replicas(2);
+        let m = ServerMetrics::new();
         m.record_request(150);
-        m.record_round(1, 8);
+        m.record_round(8);
         m.record_cache(3, 1);
         let text = m.exposition();
         assert!(text.contains("fia_serve_requests_total 1\n"));
-        assert!(text.contains("fia_serve_replica_rows_total{replica=\"1\"} 8\n"));
+        assert!(text.contains("fia_serve_rounds_total 1\n"));
+        assert!(text.contains("fia_serve_rows_total 8\n"));
         assert!(text.contains("fia_serve_cache_hit_rows_total 3\n"));
         assert!(text.contains("# TYPE fia_serve_request_duration_us histogram"));
         assert!(text.contains("fia_serve_request_duration_us_count 1\n"));
@@ -699,19 +611,15 @@ mod tests {
 
     #[test]
     fn parse_reads_absent_series_as_zero_and_ignores_unknown_ones() {
-        // An unknown series, another family's series and a replica label
-        // past the cap are all ignored.
+        // An unknown series and another family's series are ignored.
         let text = "# TYPE fia_serve_requests_total counter\n\
                     fia_serve_requests_total 9\n\
-                    fia_serve_replica_rows_total{replica=\"1\"} 8\n\
-                    fia_serve_replica_rounds_total{replica=\"1\"} 2\n\
-                    fia_serve_replica_rows_total{replica=\"99999999999\"} 5\n\
+                    fia_serve_rows_total 8\n\
+                    fia_serve_rounds_total 2\n\
                     fia_serve_frobnications_total 5\n\
                     fia_kernel_gemm_calls_total{kernel=\"avx2\"} 77\n";
         let r = MetricsReport::from_exposition(text);
         assert_eq!(r.requests, 9);
-        assert_eq!(r.replica_rows, vec![0, 8]);
-        assert_eq!(r.replica_rounds, vec![0, 2]);
         assert_eq!((r.rows, r.rounds), (8, 2));
         assert!((r.mean_batch_fill - 4.0).abs() < 1e-12);
         assert_eq!(
@@ -720,8 +628,6 @@ mod tests {
                 rows: 0,
                 rounds: 0,
                 mean_batch_fill: 0.0,
-                replica_rows: Vec::new(),
-                replica_rounds: Vec::new(),
                 ..r
             },
             MetricsReport::default()

@@ -1,22 +1,15 @@
-//! The replica pool: N backend clones of the deployment, each owning a
-//! private job queue, [`Coalescer`] and batcher thread.
+//! The batcher: one thread that owns the deployment, drains the one
+//! job queue through a [`Coalescer`] and runs each round.
 //!
-//! PR 2's server ran *one* batcher over *one* model — one joint
-//! prediction round in flight at a time, however many clients queued.
-//! The pool keeps that faithfulness *per replica* (each replica is a
-//! deployment of the same `m` parties running one secure computation at
-//! a time) while letting N replicas run rounds concurrently, which is
-//! how a real serving stack scales past one backend: replicate the
-//! read-only model state, shard the traffic.
+//! One round is in flight at a time, which is the modelled deployment
+//! (the `m` parties run one secure computation at a time). The batcher
+//! applies the [`DefensePipeline`] once per round at the score-release
+//! boundary, then splits the released rows back to the jobs that asked
+//! for them.
 //!
-//! Replication is an `Arc` bump, not a copy — [`fia_vfl::VflSystem`]'s
-//! `Clone` shares the model, partition and party tables — so a 4-replica
-//! pool holds the stored prediction set in memory once.
-//!
-//! Each replica's batcher applies the [`DefensePipeline`] once per round
-//! at its own score-release boundary, exactly as the single-batcher
-//! server did: sharding changes *where* a round runs, never *what* is
-//! released.
+//! The thread hop exists so that [`crate::ServeConfig::round_cost`]'s
+//! simulated protocol round trip sleeps here, never on the reactor's
+//! event loop.
 
 use crate::coalesce::{Coalescer, Coalescible};
 use crate::metrics::ServerMetrics;
@@ -26,14 +19,14 @@ use fia_linalg::Matrix;
 use fia_models::PredictProba;
 use fia_telemetry::Tracer;
 use fia_vfl::VflSystem;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How often blocked server threads re-check the stop flag.
-pub(crate) const POLL_TICK: Duration = Duration::from_millis(20);
+/// How often the blocked batcher re-checks the stop flag.
+const POLL_TICK: Duration = Duration::from_millis(20);
 
 /// One queued prediction job: the round input plus where its released
 /// rows travel back to.
@@ -53,8 +46,7 @@ pub(crate) struct Job {
 
 /// Where a job's released rows go.
 pub(crate) enum ReplyTo {
-    /// A blocking caller waiting on an mpsc receiver (unit tests and
-    /// any in-process dispatch path).
+    /// A blocking caller waiting on an mpsc receiver (unit tests).
     #[cfg_attr(not(test), allow(dead_code))]
     Channel(Sender<Result<Matrix, String>>),
     /// The reactor's completion queue: the batcher pushes the result
@@ -74,23 +66,21 @@ impl ReplyTo {
     }
 }
 
-/// One sub-round's route back to the reactor. If the job is dropped
+/// One job's route back to the reactor. If the job is dropped
 /// unanswered — a queue torn down mid-shutdown, a send that never
 /// happened — `Drop` delivers an error completion, so a connection can
 /// never wait forever on a reply that isn't coming.
 pub(crate) struct ReactorReply {
     notify: Notifier<Completion>,
     pending_id: u64,
-    part: usize,
     sent: bool,
 }
 
 impl ReactorReply {
-    pub fn new(notify: Notifier<Completion>, pending_id: u64, part: usize) -> Self {
+    pub fn new(notify: Notifier<Completion>, pending_id: u64) -> Self {
         ReactorReply {
             notify,
             pending_id,
-            part,
             sent: false,
         }
     }
@@ -102,7 +92,6 @@ impl ReactorReply {
         self.sent = true;
         self.notify.send(Completion {
             pending_id: self.pending_id,
-            part: self.part,
             result,
         });
     }
@@ -114,10 +103,9 @@ impl Drop for ReactorReply {
     }
 }
 
-/// A finished sub-round flowing back to the reactor's event loop.
+/// A finished job flowing back to the reactor's event loop.
 pub(crate) struct Completion {
     pub pending_id: u64,
-    pub part: usize,
     pub result: Result<Matrix, String>,
 }
 
@@ -134,24 +122,14 @@ impl Coalescible for Job {
     }
 }
 
-/// The dispatcher-facing half of one replica: where to enqueue jobs and
-/// how many rows are already waiting there.
-struct ReplicaQueue {
+/// The reactor-side handle to the batcher's queue.
+pub(crate) struct Batcher {
     tx: Sender<Job>,
-    depth_rows: Arc<AtomicUsize>,
 }
 
-/// Dispatcher-side handle to the pool's queues. The batcher threads'
-/// join handles live separately in the server handle (the pool is owned
-/// by the shared state, which every connection thread holds).
-pub(crate) struct ReplicaPool {
-    queues: Vec<ReplicaQueue>,
-}
-
-impl ReplicaPool {
-    /// Spawns `replicas` batcher threads over cheap clones of `system`
-    /// and returns the queue handles plus the join handles.
-    #[allow(clippy::too_many_arguments)]
+impl Batcher {
+    /// Spawns the batcher thread over `system` and returns the queue
+    /// handle plus the thread's join handle.
     pub fn spawn<M>(
         system: &Arc<VflSystem<M>>,
         defense: &Arc<DefensePipeline>,
@@ -160,87 +138,43 @@ impl ReplicaPool {
         tracer: &Tracer,
         coalescer: Coalescer,
         round_cost: Duration,
-        replicas: usize,
-    ) -> (ReplicaPool, Vec<JoinHandle<()>>)
+    ) -> std::io::Result<(Batcher, JoinHandle<()>)>
     where
         M: PredictProba + Send + Sync + 'static,
     {
-        let replicas = replicas.max(1);
-        let mut queues = Vec::with_capacity(replicas);
-        let mut handles = Vec::with_capacity(replicas);
-        for id in 0..replicas {
-            let (tx, rx) = mpsc::channel::<Job>();
-            let depth_rows = Arc::new(AtomicUsize::new(0));
-            let partition = system.partition();
-            let party_widths = (0..partition.n_parties())
+        let (tx, rx) = mpsc::channel::<Job>();
+        let partition = system.partition();
+        let ctx = BatcherCtx {
+            system: Arc::clone(system),
+            defense: Arc::clone(defense),
+            metrics: Arc::clone(metrics),
+            stop: Arc::clone(stop),
+            party_widths: (0..partition.n_parties())
                 .map(|p| partition.features_of(fia_vfl::PartyId(p)).len())
-                .collect();
-            let ctx = ReplicaCtx {
-                id,
-                // A replica, not a second copy: shares the read-only
-                // deployment state behind the caller's Arc.
-                system: system.as_ref().clone(),
-                defense: Arc::clone(defense),
-                metrics: Arc::clone(metrics),
-                stop: Arc::clone(stop),
-                depth_rows: Arc::clone(&depth_rows),
-                party_widths,
-                coalescer,
-                round_cost,
-                tracer: tracer.clone(),
-            };
-            handles.push(std::thread::spawn(move || batcher_loop(&ctx, &rx)));
-            queues.push(ReplicaQueue { tx, depth_rows });
-        }
-        (ReplicaPool { queues }, handles)
+                .collect(),
+            coalescer,
+            round_cost,
+            tracer: tracer.clone(),
+        };
+        let handle = std::thread::Builder::new()
+            .name("fia-serve-batcher".to_string())
+            .spawn(move || batcher_loop(&ctx, &rx))?;
+        Ok((Batcher { tx }, handle))
     }
 
-    /// Number of replicas in the pool.
-    pub fn len(&self) -> usize {
-        self.queues.len()
-    }
-
-    /// Enqueues `job` on `replica`'s queue, accounting its rows into the
-    /// replica's load gauge. Fails only during shutdown.
-    pub fn send(&self, replica: usize, job: Job) -> Result<(), String> {
-        let q = &self.queues[replica];
-        let rows = job.rows;
-        match q.tx.send(job) {
-            Ok(()) => {
-                q.depth_rows.fetch_add(rows, Ordering::Relaxed);
-                Ok(())
-            }
-            Err(_) => Err("server is shutting down".to_string()),
-        }
-    }
-
-    /// The replica with the fewest queued rows right now (ties broken by
-    /// lowest id) — the target for ad-hoc feature queries, which have no
-    /// shard affinity.
-    pub fn least_loaded(&self) -> usize {
-        self.queues
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, q)| q.depth_rows.load(Ordering::Relaxed))
-            .map(|(i, _)| i)
-            .expect("pool has at least one replica")
-    }
-
-    /// Rows currently queued on `replica` (test/diagnostic visibility).
-    #[cfg(test)]
-    pub fn queued_rows(&self, replica: usize) -> usize {
-        self.queues[replica].depth_rows.load(Ordering::Relaxed)
+    /// Enqueues `job`. A send that fails mid-shutdown drops the job,
+    /// whose reply guard delivers the error completion.
+    pub fn send(&self, job: Job) {
+        let _ = self.tx.send(job);
     }
 }
 
-/// Everything one replica's batcher thread owns.
-struct ReplicaCtx<M: PredictProba> {
-    id: usize,
-    system: VflSystem<M>,
+/// Everything the batcher thread owns.
+struct BatcherCtx<M: PredictProba> {
+    system: Arc<VflSystem<M>>,
     defense: Arc<DefensePipeline>,
     metrics: Arc<ServerMetrics>,
     stop: Arc<AtomicBool>,
-    depth_rows: Arc<AtomicUsize>,
     /// Per-party feature widths, precomputed once (round hot path).
     party_widths: Vec<usize>,
     coalescer: Coalescer,
@@ -248,7 +182,7 @@ struct ReplicaCtx<M: PredictProba> {
     tracer: Tracer,
 }
 
-fn batcher_loop<M: PredictProba>(ctx: &ReplicaCtx<M>, rx: &Receiver<Job>) {
+fn batcher_loop<M: PredictProba>(ctx: &BatcherCtx<M>, rx: &Receiver<Job>) {
     // A job the coalescer refused to pack past the row cap; it becomes
     // the next round's first job, preserving arrival order.
     let mut pending: Option<Job> = None;
@@ -276,7 +210,7 @@ fn batcher_loop<M: PredictProba>(ctx: &ReplicaCtx<M>, rx: &Receiver<Job>) {
 }
 
 /// Executes one joint-prediction round over the coalesced jobs.
-fn run_round<M: PredictProba>(ctx: &ReplicaCtx<M>, jobs: Vec<Job>) {
+fn run_round<M: PredictProba>(ctx: &BatcherCtx<M>, jobs: Vec<Job>) {
     let total: usize = jobs.iter().map(|j| j.rows).sum();
 
     // A round is traced when any coalesced job carried a trace context:
@@ -288,7 +222,6 @@ fn run_round<M: PredictProba>(ctx: &ReplicaCtx<M>, jobs: Vec<Job>) {
         .find_map(|j| j.trace_parent.map(|p| (p, j.enqueued)))
         .map(|(parent, enqueued)| {
             let s = ctx.tracer.root_with_parent("serve.round", parent);
-            s.record_u64("replica", ctx.id as u64);
             s.record_u64("jobs", jobs.len() as u64);
             s.record_u64("rows", total as u64);
             s.record_u64("batch_wait_us", enqueued.elapsed().as_micros() as u64);
@@ -334,7 +267,7 @@ fn run_round<M: PredictProba>(ctx: &ReplicaCtx<M>, jobs: Vec<Job>) {
         let _defense = round_span.as_ref().map(|s| s.child("serve.defense"));
         ctx.defense.defend_batch(&scores)
     };
-    ctx.metrics.record_round(ctx.id, total);
+    ctx.metrics.record_round(total);
 
     let mut offset = 0;
     for (job_rows, reply) in replies {
@@ -345,9 +278,6 @@ fn run_round<M: PredictProba>(ctx: &ReplicaCtx<M>, jobs: Vec<Job>) {
         offset += job_rows;
         reply.send(Ok(part));
     }
-    // Every job reached this queue through `ReplicaPool::send`, which
-    // accounted its rows, so the gauge cannot underflow.
-    ctx.depth_rows.fetch_sub(total, Ordering::Relaxed);
 }
 
 #[cfg(test)]
@@ -364,23 +294,20 @@ mod tests {
         Arc::new(VflSystem::from_global(model, partition, &global))
     }
 
-    fn spawn_pool(
-        replicas: usize,
-        stop: &Arc<AtomicBool>,
-    ) -> (ReplicaPool, Vec<JoinHandle<()>>, Arc<ServerMetrics>, Tracer) {
-        let metrics = Arc::new(ServerMetrics::with_replicas(replicas));
+    fn spawn_batcher(stop: &Arc<AtomicBool>) -> (Batcher, JoinHandle<()>, Tracer) {
+        let metrics = Arc::new(ServerMetrics::new());
         let tracer = Tracer::new();
-        let (pool, handles) = ReplicaPool::spawn(
+        let (batcher, handle) = Batcher::spawn(
             &toy_system(),
             &Arc::new(DefensePipeline::new()),
             &metrics,
             stop,
             &tracer,
-            Coalescer::adaptive(16, Duration::from_micros(100)),
+            Coalescer::new(16),
             Duration::ZERO,
-            replicas,
-        );
-        (pool, handles, metrics, tracer)
+        )
+        .expect("spawn batcher");
+        (batcher, handle, tracer)
     }
 
     fn job(input: RoundInput, rows: usize, reply: ReplyTo) -> Job {
@@ -393,70 +320,22 @@ mod tests {
         }
     }
 
-    fn shutdown(stop: &Arc<AtomicBool>, handles: Vec<JoinHandle<()>>) {
+    fn shutdown(stop: &Arc<AtomicBool>, handle: JoinHandle<()>) {
         stop.store(true, Ordering::SeqCst);
-        for h in handles {
-            h.join().expect("batcher thread panicked");
-        }
-    }
-
-    #[test]
-    fn each_replica_answers_its_own_queue() {
-        let stop = Arc::new(AtomicBool::new(false));
-        let (pool, handles, metrics, _) = spawn_pool(3, &stop);
-        let system = toy_system();
-        let mut receivers = Vec::new();
-        for replica in 0..3 {
-            let (tx, rx) = mpsc::channel();
-            pool.send(
-                replica,
-                job(
-                    RoundInput::Stored(vec![replica, replica + 1]),
-                    2,
-                    ReplyTo::Channel(tx),
-                ),
-            )
-            .expect("send");
-            receivers.push((replica, rx));
-        }
-        for (replica, rx) in receivers {
-            let scores = rx.recv().expect("reply").expect("round ok");
-            assert_eq!(scores, system.predict_batch(&[replica, replica + 1]));
-        }
-        let r = crate::MetricsReport::from_exposition(&metrics.exposition());
-        assert_eq!(r.replica_rounds, vec![1, 1, 1]);
-        assert_eq!(r.replica_rows, vec![2, 2, 2]);
-        shutdown(&stop, handles);
-    }
-
-    #[test]
-    fn least_loaded_prefers_the_empty_queue() {
-        let stop = Arc::new(AtomicBool::new(true)); // batchers idle out fast
-        let (pool, handles, _metrics, _) = spawn_pool(2, &stop);
-        // Gauge accounting is what least_loaded reads; simulate load on
-        // replica 0 directly.
-        pool.queues[0].depth_rows.store(10, Ordering::Relaxed);
-        assert_eq!(pool.least_loaded(), 1);
-        pool.queues[1].depth_rows.store(20, Ordering::Relaxed);
-        assert_eq!(pool.least_loaded(), 0);
-        for h in handles {
-            h.join().expect("join");
-        }
-        assert_eq!(pool.queued_rows(0), 10);
+        handle.join().expect("batcher thread panicked");
     }
 
     #[test]
     fn queued_jobs_are_answered_before_shutdown() {
         let stop = Arc::new(AtomicBool::new(false));
-        let (pool, handles, _metrics, _) = spawn_pool(1, &stop);
+        let (batcher, handle, _) = spawn_batcher(&stop);
         let mut rxs = Vec::new();
         for i in 0..5 {
             let (tx, rx) = mpsc::channel();
-            pool.send(0, job(RoundInput::Stored(vec![i]), 1, ReplyTo::Channel(tx)))
-                .expect("send");
+            batcher.send(job(RoundInput::Stored(vec![i]), 1, ReplyTo::Channel(tx)));
             rxs.push(rx);
         }
-        shutdown(&stop, handles);
+        shutdown(&stop, handle);
         for rx in rxs {
             assert!(rx.recv().expect("answered before exit").is_ok());
         }
@@ -465,19 +344,15 @@ mod tests {
     #[test]
     fn traced_jobs_open_a_round_span_linked_to_the_dispatch() {
         let stop = Arc::new(AtomicBool::new(false));
-        let (pool, handles, _metrics, tracer) = spawn_pool(1, &stop);
+        let (batcher, handle, tracer) = spawn_batcher(&stop);
         let (tx, rx) = mpsc::channel();
-        pool.send(
-            0,
-            Job {
-                input: RoundInput::Stored(vec![0, 1]),
-                rows: 2,
-                reply: ReplyTo::Channel(tx),
-                trace_parent: Some(77),
-                enqueued: Instant::now(),
-            },
-        )
-        .expect("send");
+        batcher.send(Job {
+            input: RoundInput::Stored(vec![0, 1]),
+            rows: 2,
+            reply: ReplyTo::Channel(tx),
+            trace_parent: Some(77),
+            enqueued: Instant::now(),
+        });
         rx.recv().expect("reply").expect("round ok");
         // The round span finishes when run_round returns, a hair after
         // the reply lands — wait for it rather than racing the batcher.
@@ -499,18 +374,17 @@ mod tests {
                 .unwrap_or_else(|| panic!("missing {child} span"));
             assert_eq!(c.parent, Some(round.id));
         }
-        shutdown(&stop, handles);
+        shutdown(&stop, handle);
     }
 
     #[test]
     fn untraced_rounds_record_no_spans() {
         let stop = Arc::new(AtomicBool::new(false));
-        let (pool, handles, _metrics, tracer) = spawn_pool(1, &stop);
+        let (batcher, handle, tracer) = spawn_batcher(&stop);
         let (tx, rx) = mpsc::channel();
-        pool.send(0, job(RoundInput::Stored(vec![0]), 1, ReplyTo::Channel(tx)))
-            .expect("send");
+        batcher.send(job(RoundInput::Stored(vec![0]), 1, ReplyTo::Channel(tx)));
         rx.recv().expect("reply").expect("round ok");
-        shutdown(&stop, handles);
+        shutdown(&stop, handle);
         assert!(tracer.records().is_empty(), "legacy traffic costs no spans");
     }
 }

@@ -1,16 +1,23 @@
 //! The prediction handler: what a [`crate::PredictionServer`]'s
 //! [`Transport`] does with each request.
 //!
-//! Prediction work flows to the [`crate::dispatch::Dispatcher`] →
-//! replica-pool batchers by channel; completed sub-rounds come back as
-//! [`Completion`]s through the transport's [`Notifier`]. Around that it
-//! answers the cheap ops inline, keeps the per-client audit ledger and
-//! session labels, and opens the `serve.request` spans of traced
+//! Every prediction request that needs a round becomes one job on the
+//! batcher's queue (`crate::pool`), and its released rows come back as
+//! one [`Completion`] through the transport's [`Notifier`]. Around that
+//! it answers the cheap ops inline, keeps the per-client audit ledger
+//! and session labels, and opens the `serve.request` spans of traced
 //! requests.
+//!
+//! The [`ScoreCache`] lives here, on the loop thread, strictly *after*
+//! the defense pipeline in dataflow terms: what it stores is what the
+//! batcher *released* (post-defense), keyed by stored-sample index.
+//! Hits are answered without a job — no joint round, no simulated
+//! protocol cost — and re-release the first-released bytes
+//! bit-identically.
 
 use crate::audit::{AuditLedger, AuditSummary};
-use crate::dispatch::StoredPlan;
-use crate::pool::{Completion, ReactorReply, ReplyTo};
+use crate::cache::ScoreCache;
+use crate::pool::{Completion, Job, ReactorReply, ReplyTo, RoundInput};
 use crate::reactor::{Handler, Notifier, Ticket, Transport};
 use crate::server::Shared;
 use crate::wire::{Request, Response};
@@ -22,24 +29,20 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One prediction request fanned out as per-shard sub-rounds.
+/// One prediction request whose job is on the batcher's queue.
 struct PendingRound {
     ticket: Ticket,
-    /// Request-ordered output; cache hits prefilled, miss rows filled
-    /// as sub-rounds complete.
-    out: Matrix,
+    /// With the cache on, a stored-index request's response is merged:
+    /// the request-ordered output with the hit rows filled, and the
+    /// `(request pos, sample index)` of each row the job computes.
+    /// `None` when the job's release is the whole response.
+    merge: Option<(Matrix, Vec<(usize, usize)>)>,
     hits: u64,
-    /// `(shard, [(request pos, sample index)])` per part, as planned.
-    groups: Vec<(usize, Vec<(usize, usize)>)>,
-    remaining: usize,
-    /// Ad-hoc requests have a single part whose release *is* the output.
-    adhoc: bool,
-    failed: Option<String>,
     /// The `serve.request` span (traced requests only); finishes when
     /// the response is staged.
     req_span: Option<Span>,
-    /// Per-part `serve.dispatch` spans, finished as parts complete.
-    dispatch_spans: Vec<Option<Span>>,
+    /// The `serve.dispatch` span, finished when the job completes.
+    dispatch_span: Option<Span>,
     /// What the audit ledger records if the round succeeds (`None` when
     /// auditing is off).
     audit: Option<AuditKind>,
@@ -56,7 +59,9 @@ enum AuditKind {
 /// The prediction server's [`Handler`]: request validation, dispatch,
 /// and the bookkeeping of rounds in flight.
 pub(crate) struct Predict {
-    shared: Arc<Shared>,
+    shared: Shared,
+    /// The released-score cache; `None` when caching is disabled.
+    cache: Option<ScoreCache>,
     notify: Notifier<Completion>,
     pending: HashMap<u64, PendingRound>,
     next_pending: u64,
@@ -71,12 +76,13 @@ pub(crate) struct Predict {
 }
 
 impl Predict {
-    pub fn new(shared: Arc<Shared>, notify: Notifier<Completion>) -> Predict {
+    pub fn new(shared: Shared, cache: Option<ScoreCache>, notify: Notifier<Completion>) -> Predict {
         let ledger = shared
             .audit
             .then(|| AuditLedger::new(Arc::clone(shared.metrics.registry())));
         Predict {
             shared,
+            cache,
             notify,
             pending: HashMap::new(),
             next_pending: 0,
@@ -186,80 +192,63 @@ impl Predict {
             io.reply(ticket, &resp);
             return;
         }
-        let StoredPlan { out, hits, groups } = {
-            let cache_span = req_span.as_ref().map(|s| s.child("serve.cache"));
-            let plan = self.shared.dispatcher.plan_stored(&indices);
-            if let Some(cs) = &cache_span {
-                cs.record_u64("hit_rows", plan.hits);
-                cs.record_u64(
-                    "miss_rows",
-                    (indices.len() as u64).saturating_sub(plan.hits),
-                );
+        // Cache hits fill their rows of the response now; the misses
+        // become the job.
+        let cache_span = req_span.as_ref().map(|s| s.child("serve.cache"));
+        let merge = self.cache.as_ref().map(|cache| {
+            let mut out = Matrix::zeros(indices.len(), self.shared.info.n_classes);
+            let mut misses = Vec::new();
+            for (pos, &idx) in indices.iter().enumerate() {
+                match cache.get(idx) {
+                    Some(row) => out.row_mut(pos).copy_from_slice(row),
+                    None => misses.push((pos, idx)),
+                }
             }
-            plan
-        };
-        if groups.is_empty() {
-            // Fully cache-served: no round, no protocol cost.
-            self.audit(
-                io,
-                ticket.conn(),
-                AuditKind::Stored {
-                    indices: raw,
-                    cached: hits,
-                },
-            );
-            if let Some(s) = req_span {
-                s.record_str("outcome", "ok");
-                s.record_u64("cached_rows", hits);
-            }
-            let resp = Response::Scores {
-                scores: out,
-                cached_rows: hits as u32,
-            };
-            io.reply(ticket, &resp);
-            return;
+            (out, misses)
+        });
+        let miss_rows = merge.as_ref().map_or(indices.len(), |(_, m)| m.len());
+        let hits = (indices.len() - miss_rows) as u64;
+        if merge.is_some() {
+            self.shared.metrics.record_cache(hits, miss_rows as u64);
         }
-        let pid = self.next_pending;
-        self.next_pending += 1;
-        let remaining = groups.len();
-        let dispatch_spans: Vec<Option<Span>> = groups
-            .iter()
-            .map(|(shard, group)| {
-                req_span.as_ref().map(|s| {
-                    let d = s.child("serve.dispatch");
-                    d.record_u64("shard", *shard as u64);
-                    d.record_u64("rows", group.len() as u64);
-                    d
-                })
-            })
-            .collect();
-        let audit = self.ledger.is_some().then_some(AuditKind::Stored {
+        if let Some(cs) = cache_span {
+            cs.record_u64("hit_rows", hits);
+            cs.record_u64("miss_rows", miss_rows as u64);
+        }
+        let audit = AuditKind::Stored {
             indices: raw,
             cached: hits,
-        });
-        self.pending.insert(
-            pid,
-            PendingRound {
-                ticket,
-                out,
-                hits,
-                groups,
-                remaining,
-                adhoc: false,
-                failed: None,
-                req_span,
-                dispatch_spans,
-                audit,
-            },
-        );
-        let round = self.pending.get(&pid).expect("just inserted");
-        for (part, (shard, group)) in round.groups.iter().enumerate() {
-            let reply = ReplyTo::Reactor(ReactorReply::new(self.notify.clone(), pid, part));
-            let parent = round.dispatch_spans[part].as_ref().map(|d| d.id());
-            self.shared
-                .dispatcher
-                .send_stored_part(*shard, group, reply, parent);
-        }
+        };
+        let (job_indices, merge) = match merge {
+            Some((out, _)) if miss_rows == 0 => {
+                // Fully cache-served: no round, no protocol cost.
+                self.audit(io, ticket.conn(), audit);
+                if let Some(s) = req_span {
+                    s.record_str("outcome", "ok");
+                    s.record_u64("cached_rows", hits);
+                }
+                let resp = Response::Scores {
+                    scores: out,
+                    cached_rows: hits as u32,
+                };
+                io.reply(ticket, &resp);
+                return;
+            }
+            Some((out, misses)) => {
+                let job = misses.iter().map(|&(_, idx)| idx).collect();
+                (job, Some((out, misses)))
+            }
+            None => (indices, None),
+        };
+        let round = PendingRound {
+            ticket,
+            merge,
+            hits,
+            req_span,
+            dispatch_span: None,
+            audit: self.ledger.is_some().then_some(audit),
+        };
+        self.dispatch(RoundInput::Stored(job_indices), miss_rows, round);
     }
 
     fn start_adhoc(
@@ -314,37 +303,40 @@ impl Predict {
             io.reply(ticket, &resp);
             return;
         }
+        let round = PendingRound {
+            ticket,
+            merge: None,
+            hits: 0,
+            req_span,
+            dispatch_span: None,
+            audit: self
+                .ledger
+                .is_some()
+                .then_some(AuditKind::Features { rows: rows as u64 }),
+        };
+        self.dispatch(RoundInput::AdHoc(slices), rows, round);
+    }
+
+    /// Queues one request's job on the batcher and registers it as in
+    /// flight. The job carries the request's `serve.dispatch` span id
+    /// (if traced) so the batcher's round span can link back.
+    fn dispatch(&mut self, input: RoundInput, rows: usize, mut round: PendingRound) {
         let pid = self.next_pending;
         self.next_pending += 1;
-        let dispatch_span = req_span.as_ref().map(|s| {
+        round.dispatch_span = round.req_span.as_ref().map(|s| {
             let d = s.child("serve.dispatch");
             d.record_u64("rows", rows as u64);
             d
         });
-        let parent = dispatch_span.as_ref().map(|d| d.id());
-        let audit = self
-            .ledger
-            .is_some()
-            .then_some(AuditKind::Features { rows: rows as u64 });
-        self.pending.insert(
-            pid,
-            PendingRound {
-                ticket,
-                out: Matrix::zeros(0, 0),
-                hits: 0,
-                groups: Vec::new(),
-                remaining: 1,
-                adhoc: true,
-                failed: None,
-                req_span,
-                dispatch_spans: vec![dispatch_span],
-                audit,
-            },
-        );
-        let reply = ReplyTo::Reactor(ReactorReply::new(self.notify.clone(), pid, 0));
-        self.shared
-            .dispatcher
-            .send_adhoc(slices, rows, reply, parent);
+        let trace_parent = round.dispatch_span.as_ref().map(|d| d.id());
+        self.pending.insert(pid, round);
+        self.shared.batcher.send(Job {
+            input,
+            rows,
+            reply: ReplyTo::Reactor(ReactorReply::new(self.notify.clone(), pid)),
+            trace_parent,
+            enqueued: Instant::now(),
+        });
     }
 }
 
@@ -414,44 +406,34 @@ impl Handler for Predict {
     }
 
     fn completion(&mut self, io: &mut Transport<Completion>, c: Completion) {
-        let finished = {
-            let Some(p) = self.pending.get_mut(&c.pending_id) else {
-                return; // request's connection is long gone
-            };
-            p.remaining -= 1;
-            // This part's dispatch span ends now, success or not.
-            if let Some(slot) = p.dispatch_spans.get_mut(c.part) {
-                drop(slot.take());
-            }
-            match c.result {
-                Ok(part) => {
-                    if p.adhoc {
-                        p.out = part;
-                    } else {
-                        let group = &p.groups[c.part].1;
-                        self.shared
-                            .dispatcher
-                            .finish_stored_part(group, &part, &mut p.out);
-                    }
-                }
-                Err(why) => {
-                    if p.failed.is_none() {
-                        p.failed = Some(why);
-                    }
-                }
-            }
-            p.remaining == 0
+        let Some(mut p) = self.pending.remove(&c.pending_id) else {
+            return; // request's connection is long gone
         };
-        if !finished {
-            return;
-        }
-        let mut p = self.pending.remove(&c.pending_id).expect("checked above");
-        let resp = match p.failed.take() {
-            Some(why) => Response::Error(why),
-            None => Response::Scores {
-                scores: std::mem::replace(&mut p.out, Matrix::zeros(0, 0)),
-                cached_rows: p.hits as u32,
-            },
+        // The dispatch span ends now, success or not.
+        drop(p.dispatch_span.take());
+        let resp = match c.result {
+            Ok(released) => {
+                let scores = match (p.merge.take(), self.cache.as_mut()) {
+                    (Some((mut out, misses)), Some(cache)) => {
+                        // Admit the released rows and send the
+                        // *canonical* bytes: `admit` returns the resident
+                        // row when a concurrent request populated the
+                        // entry first, so duplicate in-flight queries
+                        // for one sample all release identical bytes.
+                        for (r, &(pos, idx)) in misses.iter().enumerate() {
+                            let canonical = cache.admit(idx, released.row(r).to_vec());
+                            out.row_mut(pos).copy_from_slice(&canonical);
+                        }
+                        out
+                    }
+                    _ => released,
+                };
+                Response::Scores {
+                    scores,
+                    cached_rows: p.hits as u32,
+                }
+            }
+            Err(why) => Response::Error(why),
         };
         let is_error = matches!(resp, Response::Error(_));
         // Taking the span finishes it before the reply stages.

@@ -8,18 +8,14 @@
 //!   from the [`crate::sys`] poller (`epoll`, or `poll` under
 //!   `FIA_FORCE_POLL=1`) — thousands of connections on one thread. Its
 //!   handler (`crate::predict`) validates each request, answers cache
-//!   hits and dispatches the rest;
-//! * a [`ReplicaPool`] of N *batcher* threads, each owning a cheap
-//!   replica of the deployment: stored-index traffic is routed by shard
-//!   of the stored prediction set, ad-hoc feature traffic by least
-//!   loaded replica, and each batcher drains its queue through a
-//!   [`Coalescer`](crate::Coalescer) into joint-prediction rounds with
-//!   the [`DefensePipeline`] applied once per round at the score-release
-//!   boundary.
+//!   hits and queues the rest as one job per request;
+//! * one *batcher* thread (`crate::pool`) owns the deployment and drains
+//!   that queue through a [`Coalescer`](crate::Coalescer) into
+//!   joint-prediction rounds, with the [`DefensePipeline`] applied once
+//!   per round at the score-release boundary.
 //!
-//! One round in flight *per replica* keeps the faithfulness of the
-//! modelled deployment (the `m` parties run one secure computation at a
-//! time per backend) while scaling throughput with the replica count.
+//! One round in flight at a time keeps the faithfulness of the modelled
+//! deployment (the `m` parties run one secure computation at a time).
 //! [`ServeConfig::round_cost`] makes each round's fixed protocol
 //! overhead explicit; the optional released-score cache
 //! ([`ServeConfig::cache_capacity`]) answers repeated stored-index
@@ -28,15 +24,14 @@
 //!
 //! Shutdown is graceful: a stop flag flips and the waker nudges the
 //! reactor, which immediately closes the listener (new connects are
-//! refused), stops reading, lets every batcher answer the jobs still
+//! refused), stops reading, lets the batcher answer the jobs still
 //! queued, flushes buffered responses, and exits; the handle then joins
-//! the reactor and the batchers.
+//! the reactor and the batcher.
 
 use crate::cache::ScoreCache;
 use crate::coalesce::Coalescer;
-use crate::dispatch::{Dispatcher, ShardMap};
 use crate::metrics::{MetricsReport, ServerMetrics};
-use crate::pool::{Completion, ReplicaPool};
+use crate::pool::{Batcher, Completion};
 use crate::predict::Predict;
 use crate::reactor::{Notifier, Transport};
 use crate::wire::ServerInfo;
@@ -56,18 +51,10 @@ pub struct ServeConfig {
     /// Address to bind; use port `0` for an ephemeral port (tests and
     /// examples should, so parallel runs never collide).
     pub bind: String,
-    /// Backend replicas: clones of the deployment, each with its own
-    /// coalescer and batcher thread. The stored prediction set is
-    /// range-sharded across them (`1` reproduces PR 2's single-batcher
-    /// server exactly).
-    pub replicas: usize,
-    /// Row budget per coalesced round.
+    /// Row budget per coalesced round (see
+    /// [`Coalescer`](crate::Coalescer)); `1` makes every request its
+    /// own round.
     pub batch_cap: usize,
-    /// Deadline past a round's first request (see
-    /// [`Coalescer`](crate::Coalescer)).
-    pub batch_deadline: Duration,
-    /// `false` turns the coalescer off: every request is its own round.
-    pub coalesce: bool,
     /// Released-score cache capacity in rows; `0` disables caching.
     /// The cache stores post-defense released rows keyed by stored
     /// sample index and re-releases them bit-identically.
@@ -91,10 +78,7 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             bind: "127.0.0.1:0".to_string(),
-            replicas: 1,
             batch_cap: 64,
-            batch_deadline: Duration::from_micros(500),
-            coalesce: true,
             cache_capacity: 0,
             cache_seed: 0x5C0_7E5,
             round_cost: Duration::ZERO,
@@ -103,22 +87,11 @@ impl Default for ServeConfig {
     }
 }
 
-impl ServeConfig {
-    /// The coalescing policy this config describes.
-    fn coalescer(&self) -> Coalescer {
-        if self.coalesce {
-            Coalescer::adaptive(self.batch_cap, self.batch_deadline)
-        } else {
-            Coalescer::passthrough()
-        }
-    }
-}
-
-/// State shared by the reactor and the server handle. Deliberately not
+/// What the reactor's prediction handler reads. Deliberately not
 /// generic over the model type: the generic deployment lives inside the
-/// pool's batcher threads, so connection handling stays monomorphic.
+/// batcher thread, so connection handling stays monomorphic.
 pub(crate) struct Shared {
-    pub(crate) dispatcher: Dispatcher,
+    pub(crate) batcher: Batcher,
     pub(crate) metrics: Arc<ServerMetrics>,
     pub(crate) stop: Arc<AtomicBool>,
     pub(crate) info: ServerInfo,
@@ -142,8 +115,8 @@ pub const SERVER_SPAN_ID_BASE: u64 = 1 << 32;
 pub struct PredictionServer;
 
 impl PredictionServer {
-    /// Binds `config.bind`, spawns the server threads (one reactor + one
-    /// batcher per replica), and returns a handle carrying the bound
+    /// Binds `config.bind`, spawns the server threads (one reactor and
+    /// one batcher), and returns a handle carrying the bound
     /// address (resolve ephemeral ports from it). The deployment and the
     /// defense pipeline are shared, not consumed — the caller keeps its
     /// `Arc` clones, which is what lets tests compare over-the-wire
@@ -169,42 +142,33 @@ impl PredictionServer {
                 .collect(),
         };
 
-        let replicas = config.replicas.max(1);
-        let metrics = Arc::new(ServerMetrics::with_replicas(replicas));
+        let metrics = Arc::new(ServerMetrics::new());
         let stop = Arc::new(AtomicBool::new(false));
         let tracer = Tracer::with_id_base(SERVER_SPAN_ID_BASE);
-        let (pool, batchers) = ReplicaPool::spawn(
+        let (batcher, batcher_thread) = Batcher::spawn(
             &system,
             &defense,
             &metrics,
             &stop,
             &tracer,
-            config.coalescer(),
+            Coalescer::new(config.batch_cap),
             config.round_cost,
-            replicas,
-        );
+        )?;
         let cache = (config.cache_capacity > 0)
             .then(|| ScoreCache::new(config.cache_capacity, config.cache_seed));
-        let dispatcher = Dispatcher::new(
-            pool,
-            ShardMap::new(info.n_samples, replicas),
-            cache,
-            Arc::clone(&metrics),
-            info.n_classes,
-        );
 
-        let shared = Arc::new(Shared {
-            dispatcher,
+        let shared = Shared {
+            batcher,
             metrics: Arc::clone(&metrics),
             stop: Arc::clone(&stop),
             info,
             tracer: tracer.clone(),
             audit: config.audit,
-        });
+        };
 
         let transport = Transport::new(listener, Arc::clone(&metrics), Arc::clone(&stop))?;
         let notify = transport.notifier();
-        let handler = Predict::new(shared, transport.notifier());
+        let handler = Predict::new(shared, cache, transport.notifier());
         let reactor = std::thread::Builder::new()
             .name("fia-serve-reactor".to_string())
             .spawn(move || transport.run(handler))?;
@@ -216,7 +180,7 @@ impl PredictionServer {
             tracer,
             notify,
             reactor: Some(reactor),
-            batchers,
+            batcher: Some(batcher_thread),
         })
     }
 }
@@ -230,7 +194,7 @@ pub struct ServerHandle {
     tracer: Tracer,
     notify: Notifier<Completion>,
     reactor: Option<JoinHandle<()>>,
-    batchers: Vec<JoinHandle<()>>,
+    batcher: Option<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -278,10 +242,10 @@ impl ServerHandle {
         // for a whole tick: the waker makes shutdown prompt, not
         // tick-quantized.
         self.notify.wake();
-        if let Some(h) = self.reactor.take() {
-            let _ = h.join();
-        }
-        for h in std::mem::take(&mut self.batchers) {
+        for h in [self.reactor.take(), self.batcher.take()]
+            .into_iter()
+            .flatten()
+        {
             let _ = h.join();
         }
     }

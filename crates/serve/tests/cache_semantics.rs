@@ -53,9 +53,8 @@ fn noisy_defense() -> Arc<DefensePipeline> {
     )
 }
 
-fn cached_config(replicas: usize) -> ServeConfig {
+fn cached_config() -> ServeConfig {
     ServeConfig {
-        replicas,
         cache_capacity: 4 * N, // everything stays resident
         cache_seed: 0xE71C,
         ..ServeConfig::default()
@@ -69,7 +68,7 @@ fn bits(m: &Matrix) -> Vec<u64> {
 #[test]
 fn requeried_rows_are_byte_identical_to_their_first_release() {
     let (system, _) = deployed_lr();
-    let server = PredictionServer::spawn(system, noisy_defense(), cached_config(2)).expect("bind");
+    let server = PredictionServer::spawn(system, noisy_defense(), cached_config()).expect("bind");
     let mut oracle = RemoteOracle::connect(server.addr()).expect("connect");
 
     // First release of four rows (one round, one noise draw each).
@@ -118,7 +117,7 @@ fn requeried_rows_are_byte_identical_to_their_first_release() {
 #[test]
 fn esa_over_remote_oracle_is_identical_warm_vs_cold() {
     let (system, global) = deployed_lr();
-    let server = PredictionServer::spawn(Arc::clone(&system), noisy_defense(), cached_config(4))
+    let server = PredictionServer::spawn(Arc::clone(&system), noisy_defense(), cached_config())
         .expect("bind");
 
     let indices: Vec<usize> = (0..N).collect();
@@ -127,7 +126,7 @@ fn esa_over_remote_oracle_is_identical_warm_vs_cold() {
     let engine = AttackEngine::new();
 
     // Cold campaign: every row is released (and cached) for the first
-    // time, across 4 shards and several accumulation rounds.
+    // time, across several accumulation rounds.
     let mut cold_oracle = RemoteOracle::connect(server.addr()).expect("connect");
     let cold = run_over_oracle(&engine, &attack, &mut cold_oracle, &x_adv, &indices, 16)
         .expect("cold replay");

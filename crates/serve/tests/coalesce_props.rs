@@ -13,12 +13,14 @@
 //!   `rows ≤ max_rows`, except a round consisting of a single job whose
 //!   own row count exceeds the cap (which must run alone rather than be
 //!   split across release boundaries).
-//! * **Passthrough mode preserves arrival order** with one job per
+//! * **A row cap of one preserves arrival order** with one job per
 //!   round, exactly.
+//! * **Drain never waits**: a round is the first job plus what is
+//!   already queued, even while the sender is still alive.
 
 use fia_serve::{Coalescer, Coalescible};
 use std::sync::mpsc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct PJob {
@@ -52,7 +54,7 @@ fn drain_to_rounds(coalescer: Coalescer, jobs: Vec<PJob>) -> Vec<Vec<PJob>> {
     for job in jobs {
         tx.send(job).expect("queue");
     }
-    drop(tx); // deadline waits resolve instantly via Disconnected
+    drop(tx);
     let mut rounds = Vec::new();
     let mut pending: Option<PJob> = None;
     loop {
@@ -90,9 +92,9 @@ fn sweep_no_request_dropped_or_duplicated_and_cap_strict() {
     for seed in 0..200u64 {
         let mut rng = lcg(seed);
         let jobs = random_sequence(&mut rng);
-        let cap = 1 + rng(12);
-        let coalescer = Coalescer::adaptive(cap, Duration::from_millis(5));
-        let rounds = drain_to_rounds(coalescer, jobs.clone());
+        // Every fifth seed sweeps the no-coalescing cap of one.
+        let cap = if seed % 5 == 0 { 1 } else { 1 + rng(12) };
+        let rounds = drain_to_rounds(Coalescer::new(cap), jobs.clone());
 
         // Conservation + order: the rounds concatenate back to exactly
         // the arrival sequence (carry preserves order across rounds).
@@ -110,21 +112,36 @@ fn sweep_no_request_dropped_or_duplicated_and_cap_strict() {
                 round.len()
             );
         }
+
+        // A cap of one never merges: one job per round, and (with the
+        // conservation check above) in arrival order.
+        if cap == 1 {
+            assert_eq!(rounds.len(), jobs.len(), "seed {seed}: cap 1 merged");
+        }
     }
 }
 
 #[test]
-fn sweep_passthrough_is_one_job_per_round_in_arrival_order() {
-    for seed in 0..100u64 {
-        let mut rng = lcg(seed ^ 0xBEEF);
-        let jobs = random_sequence(&mut rng);
-        let rounds = drain_to_rounds(Coalescer::passthrough(), jobs.clone());
-        assert_eq!(rounds.len(), jobs.len(), "seed {seed}");
-        for (round, expected) in rounds.iter().zip(&jobs) {
-            assert_eq!(round.len(), 1, "seed {seed}: passthrough merged");
-            assert_eq!(&round[0], expected, "seed {seed}: order broken");
-        }
+fn drain_returns_what_is_queued_without_waiting_for_more() {
+    // The sender stays alive, so a drain that waited for more traffic
+    // would block; a closed-loop client cannot send more until it is
+    // answered.
+    let (tx, rx) = mpsc::channel();
+    for id in 0..2 {
+        tx.send(PJob { id, rows: 1 }).expect("queue");
     }
+    let first = rx.try_recv().expect("first job");
+    let t0 = Instant::now();
+    let mut carry = None;
+    let round = Coalescer::new(64).drain(&rx, first, &mut carry);
+    let waited = t0.elapsed();
+    assert_eq!(round.iter().map(|j| j.id).collect::<Vec<_>>(), vec![0, 1]);
+    assert!(carry.is_none());
+    assert!(
+        waited < Duration::from_millis(100),
+        "drain waited {waited:?} for traffic that was never sent"
+    );
+    drop(tx);
 }
 
 #[test]
@@ -145,7 +162,7 @@ fn live_sender_sequence_is_conserved_in_order() {
             }
         }
     });
-    let coalescer = Coalescer::adaptive(6, Duration::from_micros(300));
+    let coalescer = Coalescer::new(6);
     let mut rounds = Vec::new();
     let mut pending: Option<PJob> = None;
     loop {

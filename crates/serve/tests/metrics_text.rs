@@ -49,7 +49,6 @@ fn scrape_is_well_formed_and_both_parsed_views_agree() {
         deployed_lr(),
         Arc::new(fia_defense::DefensePipeline::new()),
         ServeConfig {
-            replicas: 2,
             cache_capacity: 2 * N,
             ..ServeConfig::default()
         },
@@ -57,7 +56,6 @@ fn scrape_is_well_formed_and_both_parsed_views_agree() {
     .expect("bind");
     let mut oracle = RemoteOracle::connect(server.addr()).expect("connect");
 
-    // Rows 0..24 are replica 0's shard and rows 24..48 replica 1's.
     oracle.predict_batch(&[1, 30, 35, 40]).expect("round 1");
     oracle
         .predict_batch(&[1, 30, 35, 40])
@@ -83,9 +81,11 @@ fn scrape_is_well_formed_and_both_parsed_views_agree() {
     assert_eq!(remote.errors, 1);
     assert_eq!(remote.cache_hits, 4, "second round was fully cached");
     assert_eq!(remote.cache_misses, 4);
-    assert_eq!(remote.replica_rounds, vec![1, 1]);
-    assert_eq!(remote.replica_rows, vec![1, 3]);
-    assert_eq!((remote.rounds, remote.rows), (2, 4));
+    assert_eq!(
+        (remote.rounds, remote.rows),
+        (1, 4),
+        "one round, then a cached one"
+    );
     assert_eq!((remote.open_connections, remote.total_connections), (1, 1));
     assert!(remote.p50_latency_us <= remote.p99_latency_us);
 
@@ -97,8 +97,8 @@ fn scrape_is_well_formed_and_both_parsed_views_agree() {
         "fia_serve_errors_total",
         "fia_serve_cache_hit_rows_total",
         "fia_serve_cache_miss_rows_total",
-        "fia_serve_replica_rounds_total",
-        "fia_serve_replica_rows_total",
+        "fia_serve_rounds_total",
+        "fia_serve_rows_total",
         "fia_serve_request_duration_us",
         "fia_serve_request_latency_p50_us",
         "fia_serve_request_latency_p99_us",

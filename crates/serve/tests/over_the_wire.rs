@@ -163,14 +163,12 @@ fn pra_over_the_wire_matches_in_process() {
     let partition = VerticalPartition::from_assignments(vec![ADV.to_vec(), TARGET.to_vec()], D);
     let system = Arc::new(VflSystem::from_global(tree, partition, &ds.features));
 
-    // Tree deployments shard like any other: run this parity check
-    // through a 3-replica pool with the cache on, not the single
-    // batcher — released one-hot confidences must survive both.
+    // Run this parity check with the cache on: released one-hot
+    // confidences must survive it.
     let server = PredictionServer::spawn(
         Arc::clone(&system),
         identity_defense(),
         ServeConfig {
-            replicas: 3,
             cache_capacity: 256,
             ..ServeConfig::default()
         },
@@ -196,18 +194,15 @@ fn pra_over_the_wire_matches_in_process() {
 }
 
 #[test]
-fn esa_and_grna_through_pool_and_cache_match_in_process() {
-    // The acceptance bar for the pool rework: with 4 replicas sharding
-    // the stored prediction set and a warm released-score cache, attack
-    // replays over the wire must still pin the in-process engine within
-    // 1e-9 — sharding and caching change where rounds run, never what
-    // is released.
+fn esa_and_grna_through_the_cache_match_in_process() {
+    // With a warm released-score cache, attack replays over the wire
+    // must still pin the in-process engine within 1e-9 — caching
+    // changes whether a round runs, never what is released.
     let (system, global) = deployed_lr();
     let server = PredictionServer::spawn(
         Arc::clone(&system),
         identity_defense(),
         ServeConfig {
-            replicas: 4,
             cache_capacity: 2 * N,
             ..ServeConfig::default()
         },
@@ -219,7 +214,7 @@ fn esa_and_grna_through_pool_and_cache_match_in_process() {
     let truth = global.select_columns(&TARGET).unwrap();
     let engine = AttackEngine::new();
 
-    // ESA, cold (populates the cache through all four shards).
+    // ESA, cold (populates the cache).
     let esa = EqualitySolvingAttack::new(system.model(), &ADV, &TARGET);
     let local = engine.run(
         &esa,
@@ -230,7 +225,7 @@ fn esa_and_grna_through_pool_and_cache_match_in_process() {
         run_over_oracle(&engine, &esa, &mut oracle, &x_adv, &indices, 13).expect("cold replay");
     assert!(
         (local.mse_against(&truth) - cold.mse_against(&truth)).abs() < 1e-9,
-        "pooled ESA diverged from the in-process engine"
+        "cold ESA diverged from the in-process engine"
     );
     assert!(local.estimates.max_abs_diff(&cold.estimates).unwrap() < 1e-12);
 
@@ -263,78 +258,6 @@ fn esa_and_grna_through_pool_and_cache_match_in_process() {
         &wire_batch,
     );
     assert!(local_g.estimates.max_abs_diff(&remote_g.estimates).unwrap() < 1e-12);
-
-    // The shard routing actually spread the cold campaign: every
-    // replica ran rounds, and the totals reconcile.
-    let m = server.metrics();
-    assert_eq!(m.replica_rounds.len(), 4);
-    assert!(
-        m.replica_rounds.iter().all(|&r| r > 0),
-        "a shard never saw traffic: {:?}",
-        m.replica_rounds
-    );
-    assert_eq!(m.replica_rows.iter().sum::<u64>(), m.rows);
-    server.shutdown();
-}
-
-#[test]
-fn pooled_concurrent_clients_spread_over_replicas_and_get_their_own_rows() {
-    let (system, _) = deployed_lr();
-    let config = ServeConfig {
-        replicas: 3,
-        batch_cap: 16,
-        batch_deadline: Duration::from_millis(1),
-        round_cost: Duration::from_millis(1),
-        cache_capacity: 0, // pure dispatch path
-        ..ServeConfig::default()
-    };
-    let server =
-        PredictionServer::spawn(Arc::clone(&system), identity_defense(), config).expect("bind");
-    let addr = server.addr();
-
-    let workers: Vec<_> = (0..6)
-        .map(|worker| {
-            let system = Arc::clone(&system);
-            std::thread::spawn(move || {
-                let mut oracle = RemoteOracle::connect(addr).expect("connect");
-                let mut next = lcg(worker * 7919 + 1);
-                for round in 0..8 {
-                    if round % 2 == 0 {
-                        // Stored-index query spanning all three shards.
-                        let indices: Vec<usize> =
-                            (0..6).map(|_| (next() * N as f64) as usize % N).collect();
-                        let wire = oracle.predict_batch(&indices).expect("predict");
-                        let local = system.predict_batch(&indices);
-                        assert_eq!(wire, local, "worker {worker} round {round} misrouted");
-                    } else {
-                        // Ad-hoc query (least-loaded routing).
-                        let rows = 1 + round % 3;
-                        let slices = vec![
-                            Matrix::from_fn(rows, ADV.len(), |_, _| next()),
-                            Matrix::from_fn(rows, TARGET.len(), |_, _| next()),
-                        ];
-                        let wire = oracle.predict_features(&slices).expect("predict");
-                        let local = system.predict_features_batch(&slices);
-                        assert_eq!(wire, local, "worker {worker} round {round} misrouted");
-                    }
-                }
-            })
-        })
-        .collect();
-    for w in workers {
-        w.join().expect("worker panicked");
-    }
-
-    let m = server.metrics();
-    assert_eq!(m.errors, 0);
-    assert!(m.requests >= 48, "all requests served, got {}", m.requests);
-    assert_eq!(m.replica_rounds.len(), 3);
-    assert!(
-        m.replica_rounds.iter().filter(|&&r| r > 0).count() >= 2,
-        "traffic never spread past one replica: {:?}",
-        m.replica_rounds
-    );
-    assert_eq!(m.replica_rows.iter().sum::<u64>(), m.rows);
     server.shutdown();
 }
 
@@ -382,8 +305,8 @@ fn concurrent_clients_each_get_their_own_rows() {
     let (system, _) = deployed_lr();
     let config = ServeConfig {
         batch_cap: 32,
-        batch_deadline: Duration::from_millis(2),
         round_cost: Duration::from_millis(2),
+        cache_capacity: 0, // every stored-index row takes a round
         ..ServeConfig::default()
     };
     let server =
@@ -395,18 +318,28 @@ fn concurrent_clients_each_get_their_own_rows() {
             let system = Arc::clone(&system);
             std::thread::spawn(move || {
                 let mut oracle = RemoteOracle::connect(addr).expect("connect");
-                for round in 0..6 {
-                    // Distinct ad-hoc inputs per worker and round, so a
+                for round in 0..8 {
+                    // Distinct inputs per worker and round, so a
                     // misrouted row would be caught immediately.
                     let mut next = lcg(worker * 1000 + round + 1);
-                    let rows = 1 + (round as usize % 3);
-                    let slices = vec![
-                        Matrix::from_fn(rows, ADV.len(), |_, _| next()),
-                        Matrix::from_fn(rows, TARGET.len(), |_, _| next()),
-                    ];
-                    let wire = oracle.predict_features(&slices).expect("predict");
-                    let local = system.predict_features_batch(&slices);
-                    assert_eq!(wire, local, "worker {worker} round {round} misrouted");
+                    if round % 2 == 0 {
+                        // Stored-index query.
+                        let indices: Vec<usize> =
+                            (0..6).map(|_| (next() * N as f64) as usize % N).collect();
+                        let wire = oracle.predict_batch(&indices).expect("predict");
+                        let local = system.predict_batch(&indices);
+                        assert_eq!(wire, local, "worker {worker} round {round} misrouted");
+                    } else {
+                        // Ad-hoc feature query.
+                        let rows = 1 + (round as usize % 3);
+                        let slices = vec![
+                            Matrix::from_fn(rows, ADV.len(), |_, _| next()),
+                            Matrix::from_fn(rows, TARGET.len(), |_, _| next()),
+                        ];
+                        let wire = oracle.predict_features(&slices).expect("predict");
+                        let local = system.predict_features_batch(&slices);
+                        assert_eq!(wire, local, "worker {worker} round {round} misrouted");
+                    }
                 }
             })
         })
@@ -417,7 +350,7 @@ fn concurrent_clients_each_get_their_own_rows() {
 
     let m = server.metrics();
     assert_eq!(m.errors, 0);
-    assert!(m.requests >= 36, "all requests served, got {}", m.requests);
+    assert!(m.requests >= 48, "all requests served, got {}", m.requests);
     assert!(
         m.mean_batch_fill > 1.0,
         "coalescer never merged concurrent traffic (fill = {})",

@@ -131,10 +131,7 @@ fn soak_512_connections_every_response_arrives() {
     let _serial = serial();
     const CONNS: usize = 512;
     const TOTAL: usize = 2048;
-    let (_system, server) = spawn(ServeConfig {
-        replicas: 2,
-        ..ServeConfig::default()
-    });
+    let (_system, server) = spawn(ServeConfig::default());
     let addr = server.addr();
     let before = thread_count();
 
@@ -225,7 +222,7 @@ fn shutdown_returns_promptly_under_idle_connections() {
 }
 
 /// A mid-soak shutdown still answers everything already queued: jobs
-/// dispatched to the replica pool before the stop flag flipped are
+/// queued on the batcher before the stop flag flipped are
 /// drained, their responses flushed, and only then do sockets close.
 #[test]
 fn mid_soak_shutdown_drains_queued_jobs() {
@@ -233,7 +230,7 @@ fn mid_soak_shutdown_drains_queued_jobs() {
     const CONNS: usize = 8;
     const PER_CONN: usize = 4;
     let (system, server) = spawn(ServeConfig {
-        coalesce: false,
+        batch_cap: 1,
         round_cost: Duration::from_millis(5),
         ..ServeConfig::default()
     });
@@ -284,23 +281,18 @@ fn mid_soak_shutdown_drains_queued_jobs() {
     stopper.join().expect("shutdown thread");
 }
 
-/// Pipelined requests on one socket come back strictly in request order,
-/// even though their rounds complete concurrently on different shards.
+/// Pipelined requests on one socket come back strictly in request order.
 #[test]
 fn pipelined_requests_are_answered_in_order() {
     let _serial = serial();
     const PIPELINED: usize = 24;
-    let (system, server) = spawn(ServeConfig {
-        replicas: 4,
-        ..ServeConfig::default()
-    });
+    let (system, server) = spawn(ServeConfig::default());
 
     let mut s = TcpStream::connect(server.addr()).expect("connect");
     s.set_read_timeout(Some(Duration::from_secs(30)))
         .expect("timeout");
     for k in 0..PIPELINED {
-        // Spread across shards so reordering *would* happen if the
-        // reactor didn't sequence responses.
+        // Distinct rows, so a reordered response would not match.
         let payload = encode_request(&Request::PredictByIndex {
             indices: vec![((k * 17) % system.n_samples()) as u32],
             trace: None,

@@ -41,7 +41,6 @@ fn field_u64(line: &str, key: &str) -> Option<u64> {
 #[test]
 fn traced_queries_open_linked_request_spans() {
     let server = spawn(ServeConfig {
-        replicas: 2,
         cache_capacity: 64,
         ..ServeConfig::default()
     });
@@ -148,7 +147,6 @@ fn rejection_span_is_recorded_before_the_reply_every_time() {
 #[test]
 fn audit_ledger_attributes_per_client_and_matches_their_meters() {
     let server = spawn(ServeConfig {
-        replicas: 2,
         cache_capacity: 2 * N,
         ..ServeConfig::default()
     });

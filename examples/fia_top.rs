@@ -55,7 +55,6 @@ fn demo_server() -> ServerHandle {
         system,
         Arc::new(DefensePipeline::new()),
         ServeConfig {
-            replicas: 2,
             cache_capacity: 2 * N,
             ..ServeConfig::default()
         },

@@ -30,13 +30,12 @@ fn field_u64(line: &str, key: &str) -> Option<u64> {
 
 fn main() {
     // 1. A served scenario: the campaign spawns a real prediction
-    //    server (two replicas, released-score cache) and queries it
+    //    server (with a released-score cache) and queries it
     //    over TCP — so the scrape below is a genuine over-the-wire one.
     let scenario = ScenarioSpec::paper(PaperDataset::DriveDiagnosis)
         .with_scale(0.01)
         .with_partition(PartitionSpec::two_block_random(0.2))
         .with_oracle(OracleSpec::Served(ServedConfig {
-            replicas: 2,
             cache_capacity: 8192,
             ..ServedConfig::default()
         }))

@@ -1,7 +1,7 @@
 //! The paper's threat model, end to end over a real socket — as one
 //! campaign: `OracleSpec::Served` makes the session spawn a real
-//! `fia-serve` prediction service (ephemeral port, two backend
-//! replicas, released-score cache) and mount ESA by *querying the
+//! `fia-serve` prediction service (ephemeral port, released-score
+//! cache) and mount ESA by *querying the
 //! service*, exactly how the adversary of Luo et al. accumulates its
 //! `(x_adv, v)` corpus in production. The report says what the campaign
 //! cost the deployment.
@@ -21,14 +21,12 @@ fn main() {
     //    20% of features held by the passive target party, served over
     //    TCP. `round_cost` simulates the secure-computation round trip
     //    a real deployment pays per joint prediction; the coalescer
-    //    amortizes it, two replicas shard the stored prediction set and
-    //    pay it concurrently, and the released-score cache answers
-    //    repeated queries without paying it at all.
+    //    amortizes it over queued queries, and the released-score cache
+    //    answers repeated queries without paying it at all.
     let scenario = ScenarioSpec::paper(PaperDataset::DriveDiagnosis)
         .with_scale(0.01)
         .with_partition(PartitionSpec::two_block_random(0.2))
         .with_oracle(OracleSpec::Served(ServedConfig {
-            replicas: 2,
             cache_capacity: 8192,
             round_cost: Duration::from_micros(200),
             ..ServedConfig::default()
@@ -87,12 +85,13 @@ fn main() {
     // 5. What the server saw, then tear it down.
     let m = campaign.server_metrics().expect("served scenario");
     println!(
-        "server: {} requests in {} rounds (mean fill {:.2}), p50 {:.0}µs / p99 {:.0}µs",
-        m.requests, m.rounds, m.mean_batch_fill, m.p50_latency_us, m.p99_latency_us
-    );
-    println!(
-        "pool: rounds per replica {:?}, cache hit rate {:.1}%",
-        m.replica_rounds,
+        "server: {} requests in {} rounds (mean fill {:.2}), p50 {:.0}µs / p99 {:.0}µs, \
+         cache hit rate {:.1}%",
+        m.requests,
+        m.rounds,
+        m.mean_batch_fill,
+        m.p50_latency_us,
+        m.p99_latency_us,
         100.0 * m.cache_hit_rate()
     );
     campaign.shutdown();
